@@ -55,9 +55,7 @@ use crate::error::{BuildError, SimError};
 use crate::stats::SimStats;
 use fastsim_isa::Program;
 use fastsim_mem::{CacheConfig, CacheStats, HierarchyConfig, LevelStats};
-use fastsim_memo::{
-    CacheSnapshot, MemoStats, MergeOutcome, PActionCache, Policy, DEFAULT_HOTNESS_THRESHOLD,
-};
+use fastsim_memo::{CacheSnapshot, MemoStats, MergeOutcome, PActionCache, Policy};
 use fastsim_uarch::UArchConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,10 +78,6 @@ pub struct BatchJob {
     /// share one master cache whose policy is fixed by the first job seen
     /// for that group.
     pub policy: Policy,
-    /// Trace-compilation hotness threshold for this job's private working
-    /// cache (`u32::MAX` disables trace-compiled replay; traces are never
-    /// carried into the shared master).
-    pub trace_hotness: u32,
 }
 
 impl BatchJob {
@@ -96,7 +90,6 @@ impl BatchJob {
             uarch: UArchConfig::table1(),
             hierarchy: CacheConfig::table1().into(),
             policy: Policy::Unbounded,
-            trace_hotness: DEFAULT_HOTNESS_THRESHOLD,
         }
     }
 
@@ -329,7 +322,6 @@ pub fn run_single(
     let mut sim =
         Simulator::with_warm_snapshot(&job.program, snapshot, job.uarch, job.hierarchy.clone())
             .map_err(JobFailure::Build)?;
-    sim.set_trace_hotness(job.trace_hotness);
     match deadline {
         None => sim.run_to_completion().map_err(JobFailure::Sim)?,
         Some(d) => loop {

@@ -8,7 +8,7 @@ use fastsim_isa::{DecodedProgram, Program};
 use fastsim_mem::{CacheConfig, CacheSim, CacheStats, HierarchyConfig, LevelStats, PollResult};
 use fastsim_memo::{
     ActionKind, CacheSnapshot, ConfigLookup, MemoStats, NodeId, OutcomeKey, PActionCache, Policy,
-    RetireCounts, TouchedKind, TraceOp, TraceSegment,
+    RetireCounts,
 };
 use fastsim_uarch::{
     decode_config, encode_config_into, CycleSummary, LoadPoll, Pipeline, PipelineEnv,
@@ -148,14 +148,13 @@ impl WarmCacheSnapshot {
         &self.snapshot
     }
 
-    /// Encodes the snapshot — fingerprint and all, compiled trace segments
-    /// and hotness included — into the durable `fastsim-snapshot/v1` byte
-    /// format ([`fastsim_memo::encode_snapshot`]).
+    /// Encodes the snapshot, fingerprint and all, into the durable
+    /// `fastsim-snapshot/v2` byte format ([`fastsim_memo::encode_snapshot`]).
     pub fn encode(&self) -> Vec<u8> {
         fastsim_memo::encode_snapshot(&self.snapshot, self.fingerprint)
     }
 
-    /// Decodes a `fastsim-snapshot/v1` byte stream back into a shareable
+    /// Decodes a `fastsim-snapshot/v2` byte stream back into a shareable
     /// snapshot.
     ///
     /// With `expected_fingerprint`, a snapshot recorded under any other
@@ -583,44 +582,6 @@ enum EngineMode {
     Finished,
 }
 
-/// Why trace-segment execution returned to the replay loop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SegExit {
-    /// Segment over (chain cut or a carried cold edge): continue
-    /// node-at-a-time replay at this not-yet-executed node.
-    Continue(NodeId),
-    /// A dispatch observed an outcome the segment does not carry: resolve
-    /// `key` against `node`'s live edges (replay a branch recorded after
-    /// compilation, or fall back to detailed simulation).
-    Branch { node: NodeId, key: OutcomeKey },
-    /// The segment replayed a `Finish`: the program is complete.
-    Finished,
-    /// The instruction budget was reached; resume replay at this node.
-    Budget(NodeId),
-}
-
-/// How a segment dispatch op resolved an observed outcome against its
-/// compiled edges.
-enum Dispatch {
-    /// The hot (first compiled) edge: execution continues inline.
-    Hot,
-    /// Another compiled edge: exit the segment to its target.
-    Cold(NodeId),
-    /// Not compiled into the segment: consult the live node.
-    Uncarried,
-}
-
-#[inline]
-fn dispatch(edges: &[(OutcomeKey, NodeId)], key: OutcomeKey) -> Dispatch {
-    if edges[0].0 == key {
-        return Dispatch::Hot;
-    }
-    match edges[1..].iter().find(|(k, _)| *k == key) {
-        Some(&(_, n)) => Dispatch::Cold(n),
-        None => Dispatch::Uncarried,
-    }
-}
-
 /// The complete FastSim simulator (Figure 2): speculative
 /// direct-execution, µ-architecture simulation, non-blocking cache
 /// simulation and (in [`Mode::Fast`]) memoized fast-forwarding.
@@ -654,8 +615,9 @@ pub struct Simulator {
     pipeline: Pipeline,
     shared: Shared,
     mode: EngineMode,
-    /// Encoded bytes of the last configuration crossed (fallback anchor).
-    anchor: Vec<u8>,
+    /// The last configuration head crossed (fallback anchor). Replay never
+    /// records, so the node keeps its id until `fallback` decodes its bytes.
+    anchor: NodeId,
     /// Reusable scratch buffer for per-cycle configuration encoding: the
     /// hot path never allocates once this reaches steady-state capacity.
     scratch: Vec<u8>,
@@ -743,7 +705,7 @@ impl Simulator {
             },
             prog,
             mode: EngineMode::Detailed,
-            anchor: Vec::new(),
+            anchor: 0,
             scratch: Vec::new(),
             chain_len: 0,
             last_progress: 0,
@@ -855,33 +817,6 @@ impl Simulator {
     /// Memoization statistics ([`Mode::Fast`] only).
     pub fn memo_stats(&self) -> Option<&MemoStats> {
         self.shared.pcache.as_ref().map(|p| p.stats())
-    }
-
-    /// Sets the p-action cache's trace-compilation hotness threshold: a
-    /// configuration's chain is flattened into a linear replay segment
-    /// once replay has entered it more than `threshold` times. `0`
-    /// compiles every chain on first replay; `u32::MAX` disables trace
-    /// compilation entirely, including execution of segments revived
-    /// from a warm snapshot. Purely a performance knob — simulation
-    /// results and all pre-existing statistics are bit-identical at any
-    /// setting. No effect in [`Mode::Slow`].
-    pub fn set_trace_hotness(&mut self, threshold: u32) {
-        if let Some(pc) = &mut self.shared.pcache {
-            pc.set_hotness_threshold(threshold);
-        }
-    }
-
-    /// Enables or disables superblock segment chaining: with chaining on
-    /// (the default), a compiled segment that exits through a carried
-    /// cold edge or cut whose target also has a compiled segment jumps
-    /// directly segment-to-segment instead of bouncing through
-    /// node-at-a-time replay. Purely a performance knob — simulation
-    /// results and all architectural statistics are bit-identical with
-    /// chaining on or off. No effect in [`Mode::Slow`].
-    pub fn set_trace_chaining(&mut self, enabled: bool) {
-        if let Some(pc) = &mut self.shared.pcache {
-            pc.set_chaining(enabled);
-        }
     }
 
     /// Branch-predictor statistics.
@@ -1032,51 +967,9 @@ impl Simulator {
         budget_end: u64,
     ) -> Result<bool, SimError> {
         loop {
-            // Crossing a configuration: trace-compiled fast path, or (for
-            // chains not hot yet) a new fallback anchor.
-            if pc.is_config_head(cursor) {
-                if let Some(seg) = pc.trace_enter(cursor) {
-                    match self.run_segment(pc, seg, budget_end)? {
-                        SegExit::Continue(n) => {
-                            // The segment ended (chain cut or a carried cold
-                            // edge): resume node-at-a-time where it left off,
-                            // marking the target like a followed link would.
-                            pc.note_trace_bailout();
-                            pc.mark_accessed(n);
-                            cursor = n;
-                            continue;
-                        }
-                        SegExit::Branch { node, key } => {
-                            // Outcome not carried by the segment: resolve it
-                            // against the node's live edges — recorded-after-
-                            // compilation branches replay, truly unseen
-                            // outcomes fall back, exactly as node-at-a-time.
-                            pc.note_trace_bailout();
-                            match pc.branch_to(node, key) {
-                                Some(n) => {
-                                    cursor = n;
-                                    continue;
-                                }
-                                None => {
-                                    return self.fallback(pc, node, Some(key)).map(|()| false)
-                                }
-                            }
-                        }
-                        SegExit::Finished => {
-                            self.close_chain();
-                            self.mode = EngineMode::Finished;
-                            return Ok(true);
-                        }
-                        SegExit::Budget(n) => {
-                            pc.mark_accessed(n);
-                            self.mode = EngineMode::Replay { cursor: n };
-                            return Ok(false);
-                        }
-                    }
-                }
-                let cfg = pc.config_at(cursor).expect("config head carries bytes");
-                self.anchor.clear();
-                self.anchor.extend_from_slice(cfg);
+            // Crossing a configuration: it becomes the new fallback anchor.
+            if pc.config_at(cursor).is_some() {
+                self.anchor = cursor;
                 self.shared.resume.cycles = 0;
                 self.shared.resume.pops = RetireCounts::default();
                 self.shared.resume.responses.clear();
@@ -1171,200 +1064,6 @@ impl Simulator {
         }
     }
 
-    /// Executes compiled trace segments: a linear op scan with no
-    /// per-action node lookups. Every statistic, resume-state update and
-    /// `accessed` mark is performed exactly as the node-at-a-time loop
-    /// would for the same logical actions — segment execution is
-    /// observably bit-identical to walking the chain.
-    ///
-    /// A carried cold edge or a cut does not necessarily end execution:
-    /// when the exit target has (or, for hot mid-chain targets, earns) a
-    /// compiled segment of its own, execution *chains* — swaps in the
-    /// target's segment and keeps scanning — so hot loops and call/return
-    /// ladders run segment-to-segment without bouncing through the
-    /// node-at-a-time loop (see `PActionCache::chain_enter`).
-    fn run_segment(
-        &mut self,
-        pc: &mut PActionCache,
-        mut seg: Arc<TraceSegment>,
-        budget_end: u64,
-    ) -> Result<SegExit, SimError> {
-        let mut ip = 0usize;
-        let mut ops_run = 0u64;
-        // The anchor *bytes* copy is deferred to segment exit: only the
-        // last crossing's configuration can ever be read (by `fallback`
-        // after a bail-out, or by recording after a budget pause), so a
-        // segment pays one copy per execution instead of one per crossing
-        // — a hot loop replaying inside one segment pays none at all.
-        // Everything else a crossing does (resume reset, visit count) is
-        // still performed per anchored op, before the op's own effects,
-        // in chain order.
-        let mut last_anchor: Option<NodeId> = None;
-        macro_rules! crossing {
-            ($anchored:expr, $node:expr) => {
-                if $anchored {
-                    last_anchor = Some($node);
-                    self.shared.resume.cycles = 0;
-                    self.shared.resume.pops = RetireCounts::default();
-                    self.shared.resume.responses.clear();
-                    self.shared.stats.config_visits += 1;
-                }
-            };
-        }
-        // A cold-edge or cut exit whose target chains into another
-        // compiled segment swaps `seg` and restarts the scan there; the
-        // deferred anchor (`last_anchor`) deliberately survives the swap —
-        // the *last* crossing's configuration is still the only one a
-        // later fallback or pause can read, exactly as node-at-a-time.
-        macro_rules! chain_or_exit {
-            ($n:expr) => {
-                match pc.chain_enter($n) {
-                    Some(next) => {
-                        seg = next;
-                        ip = 0;
-                    }
-                    None => break Ok(SegExit::Continue($n)),
-                }
-            };
-        }
-        let result = loop {
-            ops_run += 1;
-            // `TraceOp` is `Copy`: reading the op out lets the arms swap
-            // `seg` (chaining) without holding a borrow into it.
-            let op = seg.ops[ip];
-            match op {
-                TraceOp::Bulk { cycles, retired, count, touched, anchored } => {
-                    crossing!(anchored, match touched.kind() {
-                        TouchedKind::Span(first) => first,
-                        TouchedKind::List(start, _) => seg.touched[start as usize],
-                    });
-                    match touched.kind() {
-                        TouchedKind::Span(first) => pc.mark_accessed_span(first, count),
-                        TouchedKind::List(start, len) => {
-                            for &t in seg.touched_slice((start, len)) {
-                                pc.mark_accessed(t);
-                            }
-                        }
-                    }
-                    let retired = seg.retires[retired as usize];
-                    self.shared.stats.dynamic_actions += u64::from(count);
-                    self.shared.stats.replayed_actions += u64::from(count);
-                    self.chain_len += u64::from(count);
-                    self.shared.stats.cycles += u64::from(cycles);
-                    self.shared.stats.replayed_cycles += u64::from(cycles);
-                    self.shared.apply_retire(retired, true);
-                    self.shared.resume.cycles += cycles;
-                    self.shared.resume.pops.add(retired);
-                    if retired.insts > 0 {
-                        self.last_progress = self.shared.stats.cycles;
-                    }
-                    ip += 1;
-                    if self.shared.stats.retired_insts >= budget_end {
-                        break Ok(SegExit::Budget(seg.entry_node(ip)));
-                    }
-                }
-                TraceOp::IssueStore { node, sq_index, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    self.shared.do_issue_store(sq_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Store);
-                    ip += 1;
-                }
-                TraceOp::CancelLoad { node, lq_index, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    self.shared.do_cancel_load(lq_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Cancel);
-                    ip += 1;
-                }
-                TraceOp::Rollback { node, ctrl_index, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    let redirect = self.shared.do_rollback(ctrl_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Rollback(redirect));
-                    ip += 1;
-                }
-                TraceOp::Fetch { node, edges, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    let feed = self.shared.consume_record_feed();
-                    if let Some(e) = self.shared.fatal.take() {
-                        break Err(e);
-                    }
-                    self.shared.resume.responses.push_back(Buffered::Feed(feed));
-                    let key = outcome_of_feed(&feed);
-                    match dispatch(seg.edges_slice(edges), key) {
-                        Dispatch::Hot => ip += 1,
-                        Dispatch::Cold(n) => chain_or_exit!(n),
-                        Dispatch::Uncarried => break Ok(SegExit::Branch { node, key }),
-                    }
-                }
-                TraceOp::IssueLoad { node, lq_index, edges, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    let interval = self.shared.do_issue_load(lq_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Interval(interval));
-                    let key = OutcomeKey::Interval(interval);
-                    match dispatch(seg.edges_slice(edges), key) {
-                        Dispatch::Hot => ip += 1,
-                        Dispatch::Cold(n) => chain_or_exit!(n),
-                        Dispatch::Uncarried => break Ok(SegExit::Branch { node, key }),
-                    }
-                }
-                TraceOp::PollLoad { node, lq_index, edges, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    let poll = self.shared.do_poll_load(lq_index as usize);
-                    self.shared.resume.responses.push_back(Buffered::Poll(poll));
-                    let key = match poll {
-                        LoadPoll::Ready => OutcomeKey::PollReady,
-                        LoadPoll::Wait(w) => OutcomeKey::PollWait(w),
-                    };
-                    match dispatch(seg.edges_slice(edges), key) {
-                        Dispatch::Hot => ip += 1,
-                        Dispatch::Cold(n) => chain_or_exit!(n),
-                        Dispatch::Uncarried => break Ok(SegExit::Branch { node, key }),
-                    }
-                }
-                TraceOp::Finish { node, anchored } => {
-                    crossing!(anchored, node);
-                    pc.mark_accessed(node);
-                    self.shared.stats.dynamic_actions += 1;
-                    self.shared.stats.replayed_actions += 1;
-                    self.chain_len += 1;
-                    break Ok(SegExit::Finished);
-                }
-                TraceOp::Cut { node } => chain_or_exit!(node),
-                TraceOp::Jump { op, .. } => ip = op as usize,
-            }
-        };
-        if let Some(a) = last_anchor {
-            let cfg = pc.config_at(a).expect("anchor op sits on a config head");
-            self.anchor.clear();
-            self.anchor.extend_from_slice(cfg);
-        }
-        pc.note_trace_ops(ops_run);
-        result
-    }
-
     fn close_chain(&mut self) {
         self.shared.stats.chains += 1;
         self.shared.stats.chain_len_sum += self.chain_len;
@@ -1384,8 +1083,11 @@ impl Simulator {
     ) -> Result<(), SimError> {
         self.close_chain();
         pc.resume_recording_at(cursor, key);
-        let state = decode_config(&self.anchor, &self.prog)
-            .map_err(|e| SimError::ConfigCorrupt(e.to_string()))?;
+        let cfg = pc
+            .config_at(self.anchor)
+            .ok_or_else(|| SimError::ConfigCorrupt("anchor is not a configuration".into()))?;
+        let state =
+            decode_config(cfg, &self.prog).map_err(|e| SimError::ConfigCorrupt(e.to_string()))?;
         self.pipeline.set_state(state);
         self.mode = EngineMode::Detailed;
         Ok(())

@@ -2,8 +2,8 @@
 //!
 //! Replays the checked-in corpus (if given), then generates and checks a
 //! fixed-seed batch of random kernels against the full oracle matrix
-//! (all hierarchy presets × GC policies × replay strategies, plus the
-//! freeze/thaw/merge lifecycle), and writes a schema-tagged JSON summary
+//! (all hierarchy presets × GC policies, plus the freeze/thaw/merge
+//! lifecycle), and writes a schema-tagged JSON summary
 //! for `scripts/ci.sh` to gate on.
 //!
 //! ```text
@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Besides the differential sweep, `--snapshot-cases` kernels are frozen
-//! into `fastsim-snapshot/v1` encodings and attacked with seeded
+//! into `fastsim-snapshot/v2` encodings and attacked with seeded
 //! corruption ([`fastsim_fuzz::snapshot`]); any accepted corruption,
 //! decoder panic, or non-canonical round-trip fails the run. Likewise
 //! `--journal-cases` seeded `fastsim-journal/v1` record streams are
@@ -186,21 +186,6 @@ fn main() -> ExitCode {
         ("kernels", Json::from(u64::from(kernels))),
         ("presets", Json::Arr(cfg.presets.iter().map(|p| Json::from(p.as_str())).collect())),
         ("policies", Json::from(cfg.policies.len())),
-        (
-            "replay",
-            Json::Arr(
-                cfg.replay
-                    .iter()
-                    .map(|r| {
-                        Json::from(format!(
-                            "hotness={},chain={}",
-                            r.hotness,
-                            if r.chaining { "on" } else { "off" }
-                        ))
-                    })
-                    .collect(),
-            ),
-        ),
         ("runs", Json::from(runs)),
         ("retired_insts", Json::from(report.retired_insts)),
         ("corpus_replayed", Json::from(corpus_replayed)),

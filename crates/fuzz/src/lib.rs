@@ -10,9 +10,8 @@
 //!    synthetic kernels (instruction mixes, branch topologies, memory
 //!    strides, loop nests); [`oracle`] runs each through the detailed
 //!    baseline and the memoized fast path across hierarchy presets, GC
-//!    policies, replay strategies (node-at-a-time vs trace-compiled,
-//!    segment chaining off vs on) and freeze/thaw/merge cycles,
-//!    demanding bit-identical statistics; [`shrink()`] minimizes failures;
+//!    policies and freeze/thaw/merge cycles, demanding bit-identical
+//!    statistics; [`shrink()`] minimizes failures;
 //!    [`corpus`] persists replayable seed files into `fuzz/corpus/`.
 //! 2. **Serve-path chaos** — [`chaos`] drives a seeded fault storm
 //!    (malformed and partial frames, deadline storms, per-job panics)
@@ -21,7 +20,7 @@
 //!    truncations, worker panics), then verifies the settled-state
 //!    invariants and the no-cache-poisoning guarantee.
 //! 3. **Snapshot-codec corruption fuzzing** — [`snapshot`] freezes real
-//!    warm caches into `fastsim-snapshot/v1` bytes, demands canonical
+//!    warm caches into `fastsim-snapshot/v2` bytes, demands canonical
 //!    round-trips and bit-identical replay from decoded snapshots, then
 //!    applies seeded corruption (bit flips, truncations, section-length
 //!    lies, header patches) that the strict decoder must reject with a
@@ -48,9 +47,7 @@ pub mod snapshot;
 
 pub use journal::{run_journal_fuzz, JournalFuzzReport};
 pub use kernel::{KernelOp, KernelSpec};
-pub use oracle::{
-    check, CheckSummary, Failure, FaultInjection, FreezeThaw, OracleConfig, ReplayVariant,
-};
+pub use oracle::{check, CheckSummary, Failure, FaultInjection, FreezeThaw, OracleConfig};
 pub use shrink::{shrink, ShrinkOutcome};
 pub use snapshot::{run_snapshot_fuzz, SnapshotFuzzReport};
 

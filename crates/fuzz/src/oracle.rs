@@ -2,10 +2,9 @@
 //!
 //! [`check`] runs one generated kernel through the detailed baseline
 //! (`Mode::Slow`) and the memoized fast path under a configurable matrix
-//! of hierarchy presets × GC policies × replay strategies (node-at-a-time
-//! vs trace-compiled with segment chaining off vs on — the three-way
-//! [`ReplayVariant`] axis), plus a freeze/thaw/merge cycle through
-//! [`BatchDriver`], and demands bit-identical statistics everywhere — the
+//! of hierarchy presets × GC policies, plus a freeze/thaw/merge cycle
+//! through [`BatchDriver`], and demands bit-identical statistics
+//! everywhere — the
 //! paper's central claim, under arbitrary inputs instead of hand-picked
 //! workloads.
 //!
@@ -48,37 +47,6 @@ pub enum FreezeThaw {
     AllPresets,
 }
 
-/// One fast-path replay strategy to sweep: a trace-compilation hotness
-/// threshold plus the superblock-chaining switch. Three canonical points
-/// span the replay design space: [`node`](ReplayVariant::node) (no
-/// segments at all), [`unchained`](ReplayVariant::unchained) (segments,
-/// every exit bounces through the node arena) and
-/// [`chained`](ReplayVariant::chained) (segments jump segment-to-segment).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReplayVariant {
-    /// Trace-compilation hotness threshold (`u32::MAX` = node-at-a-time).
-    pub hotness: u32,
-    /// Whether segment exits chain directly into other segments.
-    pub chaining: bool,
-}
-
-impl ReplayVariant {
-    /// Pure node-at-a-time replay: trace compilation disabled.
-    pub fn node() -> ReplayVariant {
-        ReplayVariant { hotness: u32::MAX, chaining: false }
-    }
-
-    /// Eager trace compilation with segment chaining disabled.
-    pub fn unchained() -> ReplayVariant {
-        ReplayVariant { hotness: 0, chaining: false }
-    }
-
-    /// Eager trace compilation with segment chaining enabled.
-    pub fn chained() -> ReplayVariant {
-        ReplayVariant { hotness: 0, chaining: true }
-    }
-}
-
 /// The comparison matrix one kernel is checked under.
 #[derive(Clone, Debug)]
 pub struct OracleConfig {
@@ -86,8 +54,6 @@ pub struct OracleConfig {
     pub presets: Vec<String>,
     /// GC policies for the fast runs.
     pub policies: Vec<Policy>,
-    /// Fast-path replay strategies (hotness × chaining) for the fast runs.
-    pub replay: Vec<ReplayVariant>,
     /// Also require program output to match the plain functional emulator.
     pub check_emulator: bool,
     /// Also require two identical fast runs to produce bit-identical
@@ -102,10 +68,8 @@ pub struct OracleConfig {
 impl OracleConfig {
     /// The full matrix: all three presets, all four GC policies (bounded
     /// ones with a limit small enough that tiny kernels actually trigger
-    /// flushes/collections), the three-way replay axis (node-at-a-time,
-    /// eager segments without chaining, eager segments with chaining)
-    /// plus the adaptive default threshold, emulator cross-check,
-    /// determinism check, and the batch lifecycle on the first preset.
+    /// flushes/collections), emulator cross-check, determinism check,
+    /// and the batch lifecycle on the first preset.
     pub fn thorough() -> OracleConfig {
         let limit = 4 << 10;
         OracleConfig {
@@ -116,15 +80,6 @@ impl OracleConfig {
                 Policy::CopyingGc { limit },
                 Policy::GenerationalGc { limit },
             ],
-            replay: vec![
-                ReplayVariant::node(),
-                ReplayVariant::unchained(),
-                ReplayVariant::chained(),
-                ReplayVariant {
-                    hotness: fastsim_memo::DEFAULT_HOTNESS_THRESHOLD,
-                    chaining: true,
-                },
-            ],
             check_emulator: true,
             check_determinism: true,
             freeze_thaw: FreezeThaw::FirstPreset,
@@ -133,16 +88,12 @@ impl OracleConfig {
     }
 
     /// A single-variant configuration (first preset, unbounded policy,
-    /// default hotness with chaining, no lifecycle) — the cheap oracle
-    /// the shrinker calls hundreds of times.
+    /// no lifecycle) — the cheap oracle the shrinker calls hundreds of
+    /// times.
     pub fn quick() -> OracleConfig {
         OracleConfig {
             presets: vec!["table1".to_string()],
             policies: vec![Policy::Unbounded],
-            replay: vec![ReplayVariant {
-                hotness: fastsim_memo::DEFAULT_HOTNESS_THRESHOLD,
-                chaining: true,
-            }],
             check_emulator: true,
             check_determinism: false,
             freeze_thaw: FreezeThaw::Off,
@@ -163,7 +114,7 @@ impl Default for OracleConfig {
 pub struct Failure {
     /// Hierarchy preset the divergence appeared under.
     pub preset: String,
-    /// Which run diverged (policy/hotness/lifecycle stage).
+    /// Which run diverged (policy/lifecycle stage).
     pub variant: String,
     /// What differed, with both values.
     pub detail: String,
@@ -232,7 +183,7 @@ pub fn check(spec: &KernelSpec, cfg: &OracleConfig) -> Result<CheckSummary, Fail
         })?;
 
         // The detailed baseline is the ground truth for this preset.
-        let slow = run_variant(&program, Mode::Slow, &hier, None, preset, "slow")?;
+        let slow = run_variant(&program, Mode::Slow, &hier, preset, "slow")?;
         summary.runs += 1;
         summary.retired_insts = slow.stats.retired_insts;
         if let Some(func_out) = &func_output {
@@ -251,60 +202,36 @@ pub fn check(spec: &KernelSpec, cfg: &OracleConfig) -> Result<CheckSummary, Fail
 
         let mut first_fast = true;
         for policy in &cfg.policies {
-            for &replay in &cfg.replay {
-                let variant = format!(
-                    "fast({policy:?}, hotness={}, chain={})",
-                    replay.hotness, replay.chaining
-                );
-                let fast = run_variant(
-                    &program,
-                    Mode::Fast { policy: *policy },
-                    &hier,
-                    Some(replay),
-                    preset,
-                    &variant,
-                )?;
-                summary.runs += 1;
-                compare(&slow, &fast, cfg.fault, preset, &variant)?;
+            let variant = format!("fast({policy:?})");
+            let fast =
+                run_variant(&program, Mode::Fast { policy: *policy }, &hier, preset, &variant)?;
+            summary.runs += 1;
+            compare(&slow, &fast, cfg.fault, preset, &variant)?;
 
-                // Run-to-run determinism, once per preset: identical
-                // SimStats and bit-identical MemoStats.
-                if cfg.check_determinism && first_fast {
-                    first_fast = false;
-                    let (rerun, rerun_memo) = run_fast_with_memo(
-                        &program,
-                        *policy,
-                        &hier,
-                        replay,
-                        preset,
-                        "determinism-rerun",
-                    )?;
-                    summary.runs += 1;
-                    if rerun.stats != fast.stats {
-                        return Err(Failure {
-                            preset: preset.clone(),
-                            variant: "determinism-rerun".to_string(),
-                            detail: "two identical fast runs produced different SimStats"
-                                .to_string(),
-                        });
-                    }
-                    let (again, again_memo) = run_fast_with_memo(
-                        &program,
-                        *policy,
-                        &hier,
-                        replay,
-                        preset,
-                        "determinism-rerun",
-                    )?;
-                    summary.runs += 1;
-                    if again.stats != rerun.stats || again_memo != rerun_memo {
-                        return Err(Failure {
-                            preset: preset.clone(),
-                            variant: "determinism-rerun".to_string(),
-                            detail: "two identical fast runs produced different MemoStats"
-                                .to_string(),
-                        });
-                    }
+            // Run-to-run determinism, once per preset: identical
+            // SimStats and bit-identical MemoStats.
+            if cfg.check_determinism && first_fast {
+                first_fast = false;
+                let (rerun, rerun_memo) =
+                    run_fast_with_memo(&program, *policy, &hier, preset, "determinism-rerun")?;
+                summary.runs += 1;
+                if rerun.stats != fast.stats {
+                    return Err(Failure {
+                        preset: preset.clone(),
+                        variant: "determinism-rerun".to_string(),
+                        detail: "two identical fast runs produced different SimStats".to_string(),
+                    });
+                }
+                let (again, again_memo) =
+                    run_fast_with_memo(&program, *policy, &hier, preset, "determinism-rerun")?;
+                summary.runs += 1;
+                if again.stats != rerun.stats || again_memo != rerun_memo {
+                    return Err(Failure {
+                        preset: preset.clone(),
+                        variant: "determinism-rerun".to_string(),
+                        detail: "two identical fast runs produced different MemoStats"
+                            .to_string(),
+                    });
                 }
             }
         }
@@ -329,7 +256,6 @@ fn run_variant(
     program: &Program,
     mode: Mode,
     hier: &HierarchyConfig,
-    replay: Option<ReplayVariant>,
     preset: &str,
     variant: &str,
 ) -> Result<Expected, Failure> {
@@ -340,10 +266,6 @@ fn run_variant(
     };
     let mut sim = Simulator::with_configs(program, mode, UArchConfig::table1(), hier.clone())
         .map_err(|e| fail(format!("build error: {e:?}")))?;
-    if let Some(r) = replay {
-        sim.set_trace_hotness(r.hotness);
-        sim.set_trace_chaining(r.chaining);
-    }
     sim.run_to_completion().map_err(|e| fail(format!("sim error: {e:?}")))?;
     Ok(Expected {
         stats: *sim.stats(),
@@ -359,7 +281,6 @@ fn run_fast_with_memo(
     program: &Program,
     policy: Policy,
     hier: &HierarchyConfig,
-    replay: ReplayVariant,
     preset: &str,
     variant: &str,
 ) -> Result<(Expected, fastsim_memo::MemoStats), Failure> {
@@ -375,8 +296,6 @@ fn run_fast_with_memo(
         hier.clone(),
     )
     .map_err(|e| fail(format!("build error: {e:?}")))?;
-    sim.set_trace_hotness(replay.hotness);
-    sim.set_trace_chaining(replay.chaining);
     sim.run_to_completion().map_err(|e| fail(format!("sim error: {e:?}")))?;
     let memo = *sim.memo_stats().expect("fast mode has memo stats");
     Ok((

@@ -398,6 +398,71 @@ fn restarted_server_with_snapshot_dir_serves_first_submission_warm_and_bit_ident
 }
 
 #[test]
+fn server_booted_on_a_v1_snapshot_store_starts_cold_and_serves_identically() {
+    // A store written by a build that spoke `fastsim-snapshot/v1`: one
+    // v1 generation per sharing group of the submitted jobs (the golden
+    // v1 fixture, its header fingerprint patched to the group).
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("snapshots_v1");
+    let _ = std::fs::remove_dir_all(&dir);
+    let v1 = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/compress_10k_table1.v1.snap"
+    ))
+    .expect("v1 fixture is committed");
+    let groups: std::collections::BTreeSet<u64> = Manifest::select(&KERNELS, INSTS)
+        .expect("known kernels")
+        .into_jobs()
+        .into_iter()
+        .map(|j| BatchJob::new(j.name, j.program).fingerprint())
+        .collect();
+    for fp in &groups {
+        let group = dir.join(format!("{fp:016x}"));
+        std::fs::create_dir_all(&group).expect("group dir");
+        let mut bytes = v1.clone();
+        bytes[12..20].copy_from_slice(&fp.to_le_bytes());
+        std::fs::write(group.join("gen-00000001.snap"), bytes).expect("write v1 generation");
+    }
+
+    // v1 bytes are refused whole with the typed version error (never
+    // decoded around the sections v2 dropped), so the store loads none.
+    use fastsim::core::{RejectCause, SnapshotDecodeError as E, SnapshotStore, WarmCacheSnapshot};
+    assert!(matches!(WarmCacheSnapshot::decode(&v1, None), Err(E::UnsupportedVersion { found: 1 })));
+    let report = SnapshotStore::open(&dir).expect("store opens").load_all().expect("scan");
+    assert!(report.loaded.is_empty(), "a v1 generation must not load");
+    assert_eq!(report.rejected.len(), groups.len());
+    assert!(report
+        .rejected
+        .iter()
+        .all(|r| matches!(r.cause, RejectCause::Decode(E::UnsupportedVersion { found: 1 }))));
+
+    // A server booted on that store starts cold and serves nothing wrong.
+    let cfg = || ServeConfig {
+        workers: 2,
+        refreeze_every: 2,
+        snapshot_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let (server, socket) = start_server("v1_store", cfg());
+    assert_eq!(server.snapshot_stats(), (0, groups.len() as u64), "v1 generations are rejected");
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    let served = submit(&mut client, "after-upgrade", &[]);
+    assert_eq!(served_results(&served), offline_results(), "cold-booted served == offline");
+    client.shutdown().expect("shutdown");
+    let dump = server.wait();
+    let snap = dump.get("snapshot").expect("snapshot block");
+    assert_eq!(snap.get("loads").and_then(Json::as_u64), Some(0));
+    assert!(snap.get("saves").and_then(Json::as_u64).unwrap() >= 1, "re-freezes persist v2: {snap}");
+
+    // The next boot adopts the v2 generations written on top.
+    let (server, socket) = start_server("v1_store_again", cfg());
+    let (loads, rejected) = server.snapshot_stats();
+    assert!(loads >= 1, "the v2 generation written over the v1 store loads");
+    assert_eq!(rejected, 0, "the newest generation decodes, so the v1 one is never read");
+    Client::connect_unix(&socket).expect("connect").shutdown().expect("shutdown");
+    server.wait();
+}
+
+#[test]
 fn snapshot_export_ships_warmth_to_a_cold_server_via_import() {
     // A warmed donor — no store needed, export reads the live group.
     let (donor, donor_socket) = start_server(

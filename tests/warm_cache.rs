@@ -257,7 +257,7 @@ fn every_workload_survives_a_warm_restart() {
 }
 
 // ---------------------------------------------------------------------
-// Golden `fastsim-snapshot/v1` fixture: byte-layout pinning and the
+// Golden `fastsim-snapshot/v2` fixture: byte-layout pinning and the
 // rejection matrix for the durable-store wire format (docs/snapshots.md).
 // ---------------------------------------------------------------------
 
@@ -297,7 +297,7 @@ fn golden_snapshot_byte_layout_is_pinned() {
     assert_eq!(
         snapshot.encode(),
         golden,
-        "encoder no longer reproduces the committed fastsim-snapshot/v1 bytes \
+        "encoder no longer reproduces the committed fastsim-snapshot/v2 bytes \
          (if intentional: bump the format version and regenerate the fixture)"
     );
 
