@@ -1,15 +1,16 @@
 //! `chaos_smoke` — the CI entry point for serve-path chaos testing.
 //!
-//! Starts an in-process `fastsim-serve` server on a private Unix socket
-//! with seeded server-side fault injection (response drops, mid-line
-//! truncations, worker panics), drives the seeded client storm from
-//! [`fastsim_fuzz::chaos`] (malformed and partial frames, slow-loris
-//! dribbles, half-open sockets, mid-response disconnects, deadline
-//! storms, per-job panic requests), then verifies the runbook
-//! invariants: every admitted job settles, the metrics dump stays
-//! schema-valid, and — after chaos is quiesced — served results are
-//! bit-identical to an offline batch run (no cache poisoning). Writes a
-//! schema-tagged JSON summary for `scripts/ci.sh` to gate on.
+//! Starts an in-process `fastsim-serve` server (plain config — the
+//! production server has no fault injection) on a private Unix socket,
+//! drives the seeded storm from [`fastsim_fuzz::chaos`] (malformed and
+//! partial frames, slow-loris dribbles, half-open sockets, mid-response
+//! disconnects, deadline storms, per-job `chaos_panics` budgets), then
+//! verifies the runbook invariants: every admitted job settles, the
+//! metrics dump stays schema-valid, the final dump's `panics` and
+//! `retries` equal the admitted panic budget, and served results are
+//! bit-identical to an offline batch run (no cache poisoning). Every
+//! count is fixed by `--seed`. Writes a schema-tagged JSON summary for
+//! `scripts/ci.sh` to gate on.
 //!
 //! ```text
 //! chaos_smoke [--seed HEX] [--socket PATH] [--out PATH]
@@ -30,10 +31,11 @@ fn main() -> std::process::ExitCode {
 #[cfg(unix)]
 mod imp {
     use fastsim_fuzz::chaos::{
-        drain_and_verify, post_chaos_identity, run_storm, RetryClient, StormConfig,
+        drain_and_verify, post_chaos_identity, run_storm, verify_budgeted_faults, RetryClient,
+        StormConfig,
     };
     use fastsim_serve::json::Json;
-    use fastsim_serve::server::{ChaosConfig, Listener, ServeConfig, Server};
+    use fastsim_serve::server::{Listener, ServeConfig, Server};
     use std::path::PathBuf;
     use std::process::ExitCode;
     use std::time::{Duration, Instant};
@@ -81,7 +83,6 @@ mod imp {
             workers: 2,
             refreeze_every: 2,
             backoff_base: Duration::from_millis(5),
-            chaos: Some(ChaosConfig::moderate(seed)),
             ..ServeConfig::default()
         };
         let listener = match Listener::unix(&socket) {
@@ -93,7 +94,7 @@ mod imp {
         };
         let handle = Server::start(cfg, vec![listener]);
 
-        // Phase 1: the storm, with server-side chaos live.
+        // Phase 1: the storm.
         let storm = run_storm(&socket, seed ^ 0x5707_1111, &StormConfig::default());
         eprintln!(
             "storm: {} admitted, {} deadline-stormed, {} malformed rejected, \
@@ -109,8 +110,7 @@ mod imp {
             storm.transport_retries
         );
 
-        // Phase 2: settle + invariants (chaos still live — drain itself
-        // must survive dropped responses).
+        // Phase 2: settle + invariants.
         let (all_settled, settle_detail) = match drain_and_verify(&socket) {
             Ok(_) => (true, String::new()),
             Err(e) => (false, e),
@@ -119,9 +119,8 @@ mod imp {
             eprintln!("settled-state invariant violated: {settle_detail}");
         }
 
-        // Phase 3: quiesce chaos, then demand bit-identity with an
-        // offline batch run (no cache poisoning).
-        handle.quiesce_chaos();
+        // Phase 3: bit-identity with an offline batch run (no cache
+        // poisoning).
         let (post_chaos_identical, identity_detail) =
             match post_chaos_identity(&socket, 20_000) {
                 Ok(()) => (true, String::new()),
@@ -131,7 +130,7 @@ mod imp {
             eprintln!("post-chaos identity violated: {identity_detail}");
         }
 
-        // Shut down and pull the final dump (carries the chaos counters).
+        // Shut down and pull the final dump (carries the panic counters).
         let mut client = RetryClient::new(&socket);
         let stopped = client.request(&Json::obj([("op", Json::from("shutdown"))]));
         let final_metrics = handle.wait();
@@ -139,11 +138,19 @@ mod imp {
             && final_metrics.get("schema").and_then(Json::as_str)
                 == Some(fastsim_serve::metrics::SCHEMA)
             && Json::parse(&final_metrics.to_string()).as_ref() == Ok(&final_metrics);
-        let chaos_counters = final_metrics.get("chaos").cloned().unwrap_or(Json::Null);
-        let faults_injected = ["drops", "truncations", "panics_injected"]
-            .iter()
-            .filter_map(|k| chaos_counters.get(k).and_then(Json::as_u64))
-            .sum::<u64>();
+        let counter = |key: &str| final_metrics.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let (panics, retries, quarantined) =
+            (counter("panics"), counter("retries"), counter("quarantined"));
+        // Each budgeted job panics once and succeeds on its retry, so
+        // the server's fault count is exactly the admitted budget.
+        let faults_injected = panics;
+        let faults_exact = match verify_budgeted_faults(&final_metrics, storm.panic_budget) {
+            Ok(()) => storm.panic_budget > 0,
+            Err(e) => {
+                eprintln!("fault counts diverge: {e}");
+                false
+            }
+        };
 
         let ok = all_settled
             && metrics_schema_ok
@@ -154,7 +161,7 @@ mod imp {
             && storm.slow_loris_ok > 0
             && storm.half_open_ok > 0
             && storm.mid_response_disconnects > 0
-            && faults_injected > 0;
+            && faults_exact;
         let summary = Json::obj([
             ("schema", Json::from("fastsim-chaos-smoke/v1")),
             ("seed", Json::from(format!("{seed:#x}"))),
@@ -167,8 +174,11 @@ mod imp {
             ("half_open_ok", Json::from(storm.half_open_ok)),
             ("mid_response_disconnects", Json::from(storm.mid_response_disconnects)),
             ("transport_retries", Json::from(storm.transport_retries)),
+            ("panic_budget", Json::from(storm.panic_budget)),
             ("faults_injected", Json::from(faults_injected)),
-            ("chaos", chaos_counters),
+            ("panics", Json::from(panics)),
+            ("retries", Json::from(retries)),
+            ("quarantined", Json::from(quarantined)),
             ("all_settled", Json::Bool(all_settled)),
             ("metrics_schema_ok", Json::Bool(metrics_schema_ok)),
             ("post_chaos_identical", Json::Bool(post_chaos_identical)),

@@ -1,16 +1,22 @@
-//! Serve-path chaos drivers: a retrying client that survives injected
-//! connection faults, a seeded request storm, and the post-storm
-//! invariant checks.
+//! Serve-path chaos drivers: a retrying client that survives transport
+//! faults, a seeded request storm, and the post-storm invariant checks.
 //!
-//! The server side of fault injection lives in `fastsim-serve`
-//! ([`fastsim_serve::server::ChaosConfig`]): seeded response drops,
-//! mid-line truncations, and worker panics. This module drives a chaotic
-//! *client-side* load against such a server — malformed frames, partial
-//! frames, slow-loris byte dribbles, half-open sockets, mid-response
-//! disconnects, deadline storms, priority mixes — and then asserts the
-//! serving invariants the runbook promises: every admitted job settles,
-//! the metrics dump stays schema-valid, and post-chaos results are
-//! bit-identical to an offline batch run (no cache poisoning).
+//! The production server carries no fault injection. Faults enter from
+//! two places, both fixed by the storm's seed:
+//!
+//! * **server faults** — the storm gives some submissions a per-job
+//!   `chaos_panics` budget, so the first attempts of those jobs panic in
+//!   the worker and exercise retry, backoff and quarantine. The final
+//!   metrics dump's `panics` and `retries` counters must equal the
+//!   budgets the server admitted ([`StormOutcome::panic_budget`]);
+//! * **transport faults** — the storm's own client sends malformed,
+//!   partial, slow-loris and half-open frames, disconnects mid-response,
+//!   and storms deadlines across priority bands.
+//!
+//! After the storm, the serving invariants the runbook promises must
+//! hold: every admitted job settles, the metrics dump stays
+//! schema-valid, and results are bit-identical to an offline batch run
+//! (no cache poisoning).
 //!
 //! Unix-only (like the serve integration tests): the drivers speak over
 //! Unix-domain sockets.
@@ -25,20 +31,20 @@ use fastsim_workloads::Manifest;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Attempts before a request is declared undeliverable. Each attempt is
-/// a fresh connection and an independent chaos roll, so with any drop
-/// probability below 1 the expected attempt count is small.
-const RETRY_CAP: u32 = 500;
+/// How long a request keeps retrying before it is declared
+/// undeliverable: far beyond any host stall a run should survive, and
+/// inside the 60 s read timeout every attempt sets.
+const RETRY_DEADLINE: Duration = Duration::from_secs(30);
 
-/// A client that retries through injected connection faults: every
-/// request opens a fresh connection; dropped or truncated responses are
-/// detected (EOF / unparsable line) and the request is resent.
+/// A client that retries through transport faults: every request opens a
+/// fresh connection; a failed connect or a dropped or truncated response
+/// (EOF / unparsable line) is detected and the request is resent.
 pub struct RetryClient {
     path: PathBuf,
-    /// Transport-level retries performed so far (dropped or truncated
-    /// responses survived).
+    /// Transport-level retries performed so far (failed attempts
+    /// survived).
     pub retries: u64,
 }
 
@@ -53,7 +59,7 @@ impl RetryClient {
     ///
     /// # Panics
     ///
-    /// After `RETRY_CAP` (500) failed attempts.
+    /// After 30 s of failed attempts, naming the last attempt's error.
     pub fn request(&mut self, body: &Json) -> Json {
         self.request_line(&body.to_string())
     }
@@ -61,16 +67,7 @@ impl RetryClient {
     /// Like [`RetryClient::request`], but sends a raw line (possibly
     /// malformed — the server should answer with an error response).
     pub fn request_line(&mut self, line: &str) -> Json {
-        for _ in 0..RETRY_CAP {
-            match one_shot(&self.path, line, &[]) {
-                Ok(v) => return v,
-                Err(_) => {
-                    self.retries += 1;
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-        }
-        panic!("no response for {line:?} after {RETRY_CAP} attempts");
+        self.retry(line, |path| one_shot(path, line, &[]))
     }
 
     /// Sends a request split into flushed partial frames (with pauses),
@@ -78,16 +75,7 @@ impl RetryClient {
     /// server must reassemble the line across reads.
     pub fn request_chunked(&mut self, line: &str) -> Json {
         let thirds = [line.len() / 3, 2 * line.len() / 3];
-        for _ in 0..RETRY_CAP {
-            match one_shot(&self.path, line, &thirds) {
-                Ok(v) => return v,
-                Err(_) => {
-                    self.retries += 1;
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-        }
-        panic!("no response for chunked {line:?} after {RETRY_CAP} attempts");
+        self.retry(line, |path| one_shot(path, line, &thirds))
     }
 
     /// Slow-loris delivery: the request dribbles in one byte per flush,
@@ -95,18 +83,8 @@ impl RetryClient {
     /// partial line without burning a thread (or a poll loop) on it; the
     /// request must still be answered once the newline lands.
     pub fn request_slow_loris(&mut self, line: &str) -> Json {
-        let framed_len = line.len() + 1;
-        let splits: Vec<usize> = (1..framed_len).collect();
-        for _ in 0..RETRY_CAP {
-            match one_shot(&self.path, line, &splits) {
-                Ok(v) => return v,
-                Err(_) => {
-                    self.retries += 1;
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-        }
-        panic!("no response for slow-loris {line:?} after {RETRY_CAP} attempts");
+        let splits: Vec<usize> = (1..=line.len()).collect();
+        self.retry(line, |path| one_shot(path, line, &splits))
     }
 
     /// Half-open delivery: the client sends the request, closes its
@@ -114,16 +92,24 @@ impl RetryClient {
     /// after the request but must still deliver the response before
     /// closing its side.
     pub fn request_half_open(&mut self, line: &str) -> Json {
-        for _ in 0..RETRY_CAP {
-            match half_open_shot(&self.path, line) {
+        self.retry(line, |path| half_open_shot(path, line))
+    }
+
+    /// Repeats `attempt` (2 ms apart) until it yields a response.
+    fn retry(&mut self, line: &str, attempt: impl Fn(&Path) -> std::io::Result<Json>) -> Json {
+        let deadline = Instant::now() + RETRY_DEADLINE;
+        loop {
+            match attempt(&self.path) {
                 Ok(v) => return v,
+                Err(e) if Instant::now() >= deadline => panic!(
+                    "no response for {line:?} within {RETRY_DEADLINE:?}; last attempt: {e}"
+                ),
                 Err(_) => {
                     self.retries += 1;
                     std::thread::sleep(Duration::from_millis(2));
                 }
             }
         }
-        panic!("no response for half-open {line:?} after {RETRY_CAP} attempts");
     }
 }
 
@@ -198,8 +184,8 @@ fn mid_response_disconnect(path: &Path, body: &Json) -> std::io::Result<()> {
 /// Storm shape knobs.
 #[derive(Clone, Debug)]
 pub struct StormConfig {
-    /// Fire-and-forget submissions (mixed kernels/priorities, some with
-    /// per-job panic injection on top of the server's seeded chaos).
+    /// Fire-and-forget submissions (mixed kernels/priorities; every fifth
+    /// carries a one-panic `chaos_panics` budget).
     pub submissions: u32,
     /// Malformed request lines (must be rejected, not crash anything).
     pub malformed: u32,
@@ -237,12 +223,14 @@ impl Default for StormConfig {
     }
 }
 
-/// What the storm observed (transport retries prove faults were hit and
-/// survived).
+/// What the storm observed.
 #[derive(Clone, Debug, Default)]
 pub struct StormOutcome {
     /// Jobs the server acknowledged admitting.
     pub admitted: u64,
+    /// Worker panics the admitted jobs' `chaos_panics` budgets request —
+    /// exactly the panics the server must report once they settle.
+    pub panic_budget: u64,
     /// Submissions refused by admission control.
     pub rejected_submissions: u64,
     /// Malformed lines answered with an error response.
@@ -258,12 +246,18 @@ pub struct StormOutcome {
     /// Mid-response disconnects performed (their jobs run orphaned; the
     /// settled-state invariants verify nothing stranded).
     pub mid_response_disconnects: u64,
-    /// Transport-level retries (dropped/truncated responses survived).
+    /// Transport-level retries (failed attempts survived).
     pub transport_retries: u64,
 }
 
 /// Kernels the storm draws from (all in the workload suite).
 pub const STORM_KERNELS: [&str; 2] = ["compress", "vortex"];
+
+/// Malformed request lines the storm sends, in turn. The first has the
+/// shape of a parked HTTP answer; on a line connection it is one more
+/// malformed request.
+const MALFORMED: [&str; 5] =
+    ["\u{0}200 0 {}", "{\"op\": \"sub", "not json at all", "{\"op\": 42}", "[1,2,"];
 
 /// Runs a seeded chaotic load against the server at `socket`.
 pub fn run_storm(socket: &Path, seed: u64, cfg: &StormConfig) -> StormOutcome {
@@ -273,7 +267,7 @@ pub fn run_storm(socket: &Path, seed: u64, cfg: &StormConfig) -> StormOutcome {
 
     for i in 0..cfg.submissions {
         let kernel = *rng.pick(&STORM_KERNELS);
-        let chaos_panics = if i % 5 == 0 { 1u64 } else { 0 };
+        let chaos_panics = u64::from(i % 5 == 0);
         let resp = client.request(&Json::obj([
             ("op", Json::from("submit")),
             ("kernels", Json::Arr(vec![Json::from(kernel)])),
@@ -284,17 +278,16 @@ pub fn run_storm(socket: &Path, seed: u64, cfg: &StormConfig) -> StormOutcome {
             ("wait", Json::Bool(false)),
         ]));
         if resp.get("ok").and_then(Json::as_bool) == Some(true) {
-            outcome.admitted +=
-                resp.get("jobs").and_then(Json::as_arr).map_or(0, |jobs| jobs.len() as u64);
+            let jobs = resp.get("jobs").and_then(Json::as_arr).map_or(0, |jobs| jobs.len() as u64);
+            outcome.admitted += jobs;
+            outcome.panic_budget += jobs * chaos_panics;
         } else {
             outcome.rejected_submissions += 1;
         }
 
         // Interleave the other fault classes through the submission loop.
         if i < cfg.malformed {
-            let garbage = ["{\"op\": \"sub", "not json at all", "{\"op\": 42}", "[1,2,"]
-                [rng.range_usize(0..4)];
-            let resp = client.request_line(garbage);
+            let resp = client.request_line(MALFORMED[i as usize % MALFORMED.len()]);
             if resp.get("ok").and_then(Json::as_bool) == Some(false) {
                 outcome.malformed_rejected += 1;
             }
@@ -351,7 +344,7 @@ pub fn run_storm(socket: &Path, seed: u64, cfg: &StormConfig) -> StormOutcome {
     outcome
 }
 
-/// Waits (polling `metrics` through chaos) until every admitted job has
+/// Waits (polling `metrics`) until every admitted job has
 /// settled, then verifies the settled invariants on the metrics dump:
 /// schema tag, empty queue, nothing in flight or parked, and
 /// `submitted == completed + failed + quarantined`. A `drain` request
@@ -411,10 +404,32 @@ pub fn drain_and_verify(socket: &Path) -> Result<Json, String> {
     Ok(metrics)
 }
 
+/// Checks a metrics dump's fault counters against the storm's admitted
+/// panic budget: one panic and one retry per budgeted panic (every budget
+/// is below the default `max_attempts`), nothing quarantined.
+///
+/// # Errors
+///
+/// A description of the first counter that differs.
+pub fn verify_budgeted_faults(metrics: &Json, panic_budget: u64) -> Result<(), String> {
+    for (key, expected) in [("panics", panic_budget), ("retries", panic_budget), ("quarantined", 0)]
+    {
+        let found = metrics.get(key).and_then(Json::as_u64);
+        if found != Some(expected) {
+            return Err(format!(
+                "`{key}` is {found:?}, expected {expected} for an admitted panic budget of \
+                 {panic_budget}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Submits a clean waiting job set and requires its deterministic result
 /// rows to be bit-identical to an offline [`BatchDriver`] run of the same
-/// manifest — the "no cache poisoning" gate. Call after the chaos source
-/// is quiesced (`ServerHandle::quiesce_chaos`).
+/// manifest — the "no cache poisoning" gate. The submission carries no
+/// panic budget, so it runs clean on a server that just weathered a
+/// storm.
 ///
 /// # Errors
 ///

@@ -14,11 +14,12 @@
 //!    statistics; [`shrink()`] minimizes failures;
 //!    [`corpus`] persists replayable seed files into `fuzz/corpus/`.
 //! 2. **Serve-path chaos** — [`chaos`] drives a seeded fault storm
-//!    (malformed and partial frames, deadline storms, per-job panics)
-//!    against a `fastsim-serve` server configured with server-side fault
-//!    injection ([`fastsim_serve::server::ChaosConfig`]: response drops,
-//!    truncations, worker panics), then verifies the settled-state
-//!    invariants and the no-cache-poisoning guarantee.
+//!    against a plain `fastsim-serve` server: transport faults from the
+//!    storm's client (malformed and partial frames, slow-loris and
+//!    half-open sockets, mid-response disconnects, deadline storms) and
+//!    worker panics from per-job `chaos_panics` budgets. It then verifies
+//!    the settled-state invariants, exact panic and retry counts, and the
+//!    no-cache-poisoning guarantee.
 //! 3. **Snapshot-codec corruption fuzzing** — [`snapshot`] freezes real
 //!    warm caches into `fastsim-snapshot/v2` bytes, demands canonical
 //!    round-trips and bit-identical replay from decoded snapshots, then

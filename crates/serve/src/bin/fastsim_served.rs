@@ -11,8 +11,6 @@
 //!                [--snapshot-dir PATH] [--journal-dir PATH]
 //!                [--addr-file PATH] [--http-addr-file PATH]
 //!                [--metrics-file PATH]
-//!                [--chaos-seed HEX] [--chaos-drop PERMILLE]
-//!                [--chaos-truncate PERMILLE] [--chaos-panic PERMILLE]
 //! ```
 //!
 //! At least one of `--tcp` / `--unix` / `--http` is required.
@@ -32,12 +30,8 @@
 //! killed-and-restarted daemon replays unfinished jobs in their original
 //! band and admission order (the boot line reports how many jobs were
 //! recovered and rejected).
-//!
-//! The `--chaos-*` flags enable seeded server-side fault injection
-//! ([`ChaosConfig`]); any of them implies chaos with the others at their
-//! `ChaosConfig::moderate` rates (seed 0 unless given).
 
-use fastsim_serve::server::{ChaosConfig, Listener, ServeConfig, Server};
+use fastsim_serve::server::{Listener, ServeConfig, Server};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -85,34 +79,12 @@ fn main() -> ExitCode {
             "--addr-file" => addr_file = Some(value("--addr-file")),
             "--http-addr-file" => http_addr_file = Some(value("--http-addr-file")),
             "--metrics-file" => metrics_file = Some(value("--metrics-file")),
-            "--chaos-seed" => {
-                let v = value("--chaos-seed");
-                let digits = v.strip_prefix("0x").unwrap_or(&v);
-                chaos_mut(&mut cfg).seed =
-                    u64::from_str_radix(digits, 16).unwrap_or_else(|_| {
-                        eprintln!("--chaos-seed: cannot parse `{v}` as hex");
-                        std::process::exit(2);
-                    });
-            }
-            "--chaos-drop" => {
-                chaos_mut(&mut cfg).drop_per_mille = parse(&value("--chaos-drop"), "--chaos-drop")
-            }
-            "--chaos-truncate" => {
-                chaos_mut(&mut cfg).truncate_per_mille =
-                    parse(&value("--chaos-truncate"), "--chaos-truncate")
-            }
-            "--chaos-panic" => {
-                chaos_mut(&mut cfg).panic_per_mille =
-                    parse(&value("--chaos-panic"), "--chaos-panic")
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: fastsim_served [--tcp ADDR] [--unix PATH] [--http ADDR] [--workers N] \
                      [--queue-cap N] [--refreeze-every N] [--timeout-ms N] [--max-attempts N] \
                      [--backoff-ms N] [--max-conns N] [--snapshot-dir PATH] [--journal-dir PATH] \
-                     [--addr-file PATH] [--http-addr-file PATH] \
-                     [--metrics-file PATH] [--chaos-seed HEX] [--chaos-drop PERMILLE] \
-                     [--chaos-truncate PERMILLE] [--chaos-panic PERMILLE]"
+                     [--addr-file PATH] [--http-addr-file PATH] [--metrics-file PATH]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -214,12 +186,6 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// The config's chaos block, created at moderate rates on first touch so
-/// any single `--chaos-*` flag enables injection.
-fn chaos_mut(cfg: &mut ServeConfig) -> &mut ChaosConfig {
-    cfg.chaos.get_or_insert_with(|| ChaosConfig::moderate(0))
 }
 
 fn parse<T: std::str::FromStr>(text: &str, flag: &str) -> T {

@@ -23,6 +23,7 @@
 //!   backpressure (partial write / `EWOULDBLOCK`) the remainder stays
 //!   queued and the caller re-arms `EPOLLOUT`.
 
+use crate::json::Json;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
@@ -48,6 +49,25 @@ pub enum Ingest {
     Oversized(Vec<String>),
 }
 
+/// A request parked behind an outstanding deferred response, replayed in
+/// arrival order once the connection unblocks.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Deferred {
+    /// A request line: a line-protocol request, or an HTTP request the
+    /// gateway translated into one.
+    Line(String),
+    /// An answer the HTTP gateway gave itself (a routing or validation
+    /// error), framed when its turn comes.
+    Direct {
+        /// HTTP status code.
+        status: u16,
+        /// Response body.
+        body: Json,
+        /// Close the connection after the response.
+        close: bool,
+    },
+}
+
 /// One connection's buffering state. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct ConnBuf {
@@ -57,9 +77,9 @@ pub struct ConnBuf {
     outbuf: VecDeque<u8>,
     /// Close the connection once `outbuf` drains.
     close_after_flush: bool,
-    /// Request lines parsed but deferred because an earlier request on
-    /// this connection is still waiting for its (ordered) response.
-    pending: VecDeque<String>,
+    /// Requests parsed but deferred because an earlier request on this
+    /// connection is still waiting for its (ordered) response.
+    pending: VecDeque<Deferred>,
     /// A deferred response is outstanding: later requests queue in
     /// `pending` instead of being handled, preserving FIFO responses.
     blocked: bool,
@@ -152,13 +172,13 @@ impl ConnBuf {
         Ok(true)
     }
 
-    /// Parks a request line behind an outstanding deferred response.
-    pub fn defer_line(&mut self, line: String) {
-        self.pending.push_back(line);
+    /// Parks a request behind an outstanding deferred response.
+    pub fn defer(&mut self, item: Deferred) {
+        self.pending.push_back(item);
     }
 
-    /// The next parked line, once the connection unblocks.
-    pub fn next_deferred(&mut self) -> Option<String> {
+    /// The next parked request, once the connection unblocks.
+    pub fn next_deferred(&mut self) -> Option<Deferred> {
         self.pending.pop_front()
     }
 
@@ -168,7 +188,7 @@ impl ConnBuf {
         self.blocked
     }
 
-    /// Whether parked request lines are waiting to be handled.
+    /// Whether parked requests are waiting to be handled.
     pub fn has_deferred(&self) -> bool {
         !self.pending.is_empty()
     }
@@ -294,15 +314,22 @@ mod tests {
     }
 
     #[test]
-    fn deferred_lines_keep_fifo_order_while_blocked() {
+    fn deferred_requests_keep_fifo_order_while_blocked() {
         let mut c = ConnBuf::new();
         assert!(!c.blocked());
         c.set_blocked(true);
-        c.defer_line("a".into());
-        c.defer_line("b".into());
+        let direct = Deferred::Direct {
+            status: 405,
+            body: Json::obj([("ok", Json::Bool(false)), ("error", Json::Str("x\u{1}".into()))]),
+            close: true,
+        };
+        c.defer(Deferred::Line("a".into()));
+        c.defer(direct.clone());
+        c.defer(Deferred::Line("b".into()));
         c.set_blocked(false);
-        assert_eq!(c.next_deferred().as_deref(), Some("a"));
-        assert_eq!(c.next_deferred().as_deref(), Some("b"));
+        assert_eq!(c.next_deferred(), Some(Deferred::Line("a".into())));
+        assert_eq!(c.next_deferred(), Some(direct), "direct answers keep their slot");
+        assert_eq!(c.next_deferred(), Some(Deferred::Line("b".into())));
         assert_eq!(c.next_deferred(), None);
     }
 

@@ -12,8 +12,8 @@
 //! | `GET /v1/jobs/{id}` | `poll` |
 //! | `GET /v1/metrics` | `metrics` |
 //!
-//! — so deferral (`wait: true`), FIFO-per-connection responses,
-//! backpressure, and chaos all work identically on both listeners, and
+//! — so deferral (`wait: true`), FIFO-per-connection responses, and
+//! backpressure all work identically on both listeners, and
 //! the response **body** is byte-for-byte the line-protocol response (one
 //! JSON object plus a trailing newline). `tests/serve.rs` asserts that an
 //! HTTP-submitted job and a line-submitted job return identical results.
@@ -385,25 +385,6 @@ pub fn frame_response(status: u16, response: &Json, close: bool) -> Vec<u8> {
     out
 }
 
-/// Encodes a [`HttpItem::Direct`] answer as a deferrable marker line.
-/// Direct answers must honor FIFO responses: when the connection is
-/// blocked on an earlier deferred op, the answer parks in the same
-/// deferred-line queue as translated ops, prefixed with a NUL byte no
-/// legitimate line-protocol request can start with (the serializer
-/// escapes every control character).
-pub fn encode_direct_marker(status: u16, body: &Json, close: bool) -> String {
-    format!("\u{0}{status} {} {body}", u8::from(close))
-}
-
-/// Decodes a marker produced by [`encode_direct_marker`]; `None` for
-/// ordinary lines.
-pub fn decode_direct_marker(line: &str) -> Option<(u16, Json, bool)> {
-    let rest = line.strip_prefix('\u{0}')?;
-    let (status, rest) = rest.split_once(' ')?;
-    let (close, body) = rest.split_once(' ')?;
-    Some((status.parse().ok()?, Json::parse(body).ok()?, close == "1"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,15 +544,5 @@ mod tests {
             ("error", Json::Str("queue full".to_string())),
         ]);
         assert_eq!(status_for(&err), 400);
-    }
-
-    #[test]
-    fn direct_markers_round_trip_and_reject_plain_lines() {
-        let body = Json::obj([("ok", Json::Bool(false)), ("error", Json::Str("x\u{1}".into()))]);
-        let marker = encode_direct_marker(405, &body, true);
-        let (status, decoded, close) = decode_direct_marker(&marker).expect("round trip");
-        assert_eq!((status, close), (405, true));
-        assert_eq!(decoded, body);
-        assert_eq!(decode_direct_marker(r#"{"op": "ping"}"#), None);
     }
 }

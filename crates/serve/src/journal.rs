@@ -566,12 +566,16 @@ pub struct Recovery {
 
 /// What one append did beyond writing the record (the caller's metrics
 /// hooks).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Appended {
     /// The append rotated to a fresh segment first.
     pub rotated: bool,
     /// The append triggered a compaction.
     pub compacted: bool,
+    /// The append triggered a compaction that failed. The appended
+    /// records are durable all the same; compaction is retried on the
+    /// next append.
+    pub compact_error: Option<JournalError>,
 }
 
 /// An open journal: the current segment's append handle plus the live
@@ -587,6 +591,17 @@ pub struct Journal {
     /// both need original admission order, which is id order).
     pending: BTreeMap<u64, SubmitRecord>,
     settled_since_compact: u64,
+    /// Set when a failed append left bytes that could not be truncated
+    /// away: every later append is refused, since it would land after
+    /// them and turn a torn tail into mid-segment corruption.
+    refused: Option<String>,
+    /// Test-only fault: the next append writes this many bytes of its
+    /// frames, then fails.
+    #[cfg(test)]
+    fail_write_after: Option<usize>,
+    /// Test-only fault: rolling back a failed append fails too.
+    #[cfg(test)]
+    fail_truncate: bool,
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
@@ -615,13 +630,13 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, JournalError> {
 }
 
 fn create_segment(dir: &Path, index: u64) -> Result<File, JournalError> {
-    let mut file = OpenOptions::new()
-        .create_new(true)
-        .append(true)
-        .open(segment_path(dir, index))
-        .map_err(io_err)?;
-    file.write_all(&segment_header()).map_err(io_err)?;
-    file.sync_data().map_err(io_err)?;
+    let path = segment_path(dir, index);
+    let mut file = OpenOptions::new().create_new(true).append(true).open(&path).map_err(io_err)?;
+    if let Err(e) = file.write_all(&segment_header()).and_then(|()| file.sync_data()) {
+        // A segment with a torn header would fail recovery outright.
+        let _ = fs::remove_file(&path);
+        return Err(io_err(e));
+    }
     Ok(file)
 }
 
@@ -699,12 +714,11 @@ impl Journal {
         // Boot compaction: rewrite the live set into a fresh segment and
         // drop history (including any torn tail) atomically.
         let next_index = segments.last().map(|(i, _)| i + 1).unwrap_or(1);
-        let file = write_compacted(&dir, next_index, pending.values())?;
+        let (file, seg_bytes) = write_compacted(&dir, next_index, pending.values())?;
         for (_, path) in &segments {
             fs::remove_file(path).map_err(io_err)?;
         }
         sync_dir(&dir);
-        let seg_bytes = file.metadata().map_err(io_err)?.len();
         let journal = Journal {
             dir,
             file,
@@ -712,6 +726,11 @@ impl Journal {
             seg_bytes,
             pending,
             settled_since_compact: 0,
+            refused: None,
+            #[cfg(test)]
+            fail_write_after: None,
+            #[cfg(test)]
+            fail_truncate: false,
         };
         Ok((journal, recovery))
     }
@@ -736,15 +755,24 @@ impl Journal {
     /// `Complete`/`Abandon` *before* delivering the settlement, so every
     /// acknowledged state change survives a kill.
     ///
+    /// A failed write or fsync is rolled back: the segment is truncated
+    /// to its length before the append, so the next append cannot land
+    /// after torn bytes. A compaction failure after the records are
+    /// durable is reported in [`Appended::compact_error`], not as an
+    /// error.
+    ///
     /// # Errors
     ///
-    /// Filesystem failures as [`JournalError::Io`]. The journal stays
-    /// usable; the caller decides whether to keep serving without
-    /// durability.
+    /// Filesystem failures as [`JournalError::Io`]; none of the records
+    /// is durable. The journal stays usable — unless the rollback itself
+    /// failed, in which case it refuses every later append.
     pub fn append_all(&mut self, records: &[JournalRecord]) -> Result<Appended, JournalError> {
         let mut outcome = Appended::default();
         if records.is_empty() {
             return Ok(outcome);
+        }
+        if let Some(reason) = &self.refused {
+            return Err(JournalError::Io(format!("appends refused: {reason}")));
         }
         if self.seg_bytes > SEGMENT_MAX_BYTES {
             self.rotate()?;
@@ -754,8 +782,14 @@ impl Journal {
         for record in records {
             bytes.extend_from_slice(&encode_record(record));
         }
-        self.file.write_all(&bytes).map_err(io_err)?;
-        self.file.sync_data().map_err(io_err)?;
+        if let Err(e) = self.write_synced(&bytes) {
+            if let Err(t) = self.truncate_to_durable() {
+                self.refused = Some(format!(
+                    "a failed append ({e}) left bytes that truncation ({t}) could not remove"
+                ));
+            }
+            return Err(io_err(e));
+        }
         self.seg_bytes += bytes.len() as u64;
         for record in records {
             match record {
@@ -771,10 +805,33 @@ impl Journal {
             }
         }
         if self.settled_since_compact >= COMPACT_EVERY {
-            self.compact()?;
-            outcome.compacted = true;
+            match self.compact() {
+                Ok(()) => outcome.compacted = true,
+                Err(e) => outcome.compact_error = Some(e),
+            }
         }
         Ok(outcome)
+    }
+
+    /// Writes one batch of frames to the current segment and fsyncs it.
+    fn write_synced(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        #[cfg(test)]
+        if let Some(partial) = self.fail_write_after.take() {
+            self.file.write_all(&bytes[..partial.min(bytes.len())])?;
+            return Err(std::io::Error::other("injected write failure"));
+        }
+        self.file.write_all(bytes)?;
+        self.file.sync_data()
+    }
+
+    /// Cuts the current segment back to its last durable length.
+    fn truncate_to_durable(&mut self) -> std::io::Result<()> {
+        #[cfg(test)]
+        if self.fail_truncate {
+            return Err(std::io::Error::other("injected truncate failure"));
+        }
+        self.file.set_len(self.seg_bytes)?;
+        self.file.sync_data()
     }
 
     /// Appends one record (see [`Journal::append_all`]).
@@ -800,45 +857,56 @@ impl Journal {
     /// rename), then deletes every older segment.
     fn compact(&mut self) -> Result<(), JournalError> {
         let next = self.seg_index + 1;
-        let file = write_compacted(&self.dir, next, self.pending.values())?;
-        for index in (0..=self.seg_index).rev() {
-            let path = segment_path(&self.dir, index);
-            if path.exists() {
+        let (file, seg_bytes) = write_compacted(&self.dir, next, self.pending.values())?;
+        // Appends follow the rename at once: a settle record appended to
+        // an older segment would be undone by the compacted copy of its
+        // submit, which recovery reads after it.
+        self.file = file;
+        self.seg_index = next;
+        self.seg_bytes = seg_bytes;
+        self.settled_since_compact = 0;
+        for (index, path) in list_segments(&self.dir)? {
+            if index < next {
                 fs::remove_file(&path).map_err(io_err)?;
-            } else {
-                break; // older ones were removed by earlier compactions
             }
         }
         sync_dir(&self.dir);
-        self.seg_bytes = file.metadata().map_err(io_err)?.len();
-        self.file = file;
-        self.seg_index = next;
-        self.settled_since_compact = 0;
         Ok(())
     }
 }
 
+#[cfg(test)]
+impl Journal {
+    /// Makes the next append write only `partial` bytes of its frames,
+    /// then fail like a short write.
+    pub(crate) fn fail_next_write(&mut self, partial: usize) {
+        self.fail_write_after = Some(partial);
+    }
+}
+
 /// Writes header + the given submits to `journal-<index>.seg.tmp`, fsyncs,
-/// atomically renames to the real name, and returns the file reopened for
-/// appending.
+/// and atomically renames it to the real name. Returns the append handle
+/// (opened before the rename, so nothing can fail after it) and the
+/// segment's length.
 fn write_compacted<'a>(
     dir: &Path,
     index: u64,
     pending: impl Iterator<Item = &'a SubmitRecord>,
-) -> Result<File, JournalError> {
+) -> Result<(File, u64), JournalError> {
     let final_path = segment_path(dir, index);
     let tmp_path = dir.join(format!("journal-{index:08}.seg.tmp"));
     let mut bytes = segment_header().to_vec();
     for submit in pending {
         bytes.extend_from_slice(&encode_record(&JournalRecord::Submit(submit.clone())));
     }
-    let mut tmp = File::create(&tmp_path).map_err(io_err)?;
+    let _ = fs::remove_file(&tmp_path);
+    let mut tmp =
+        OpenOptions::new().create_new(true).append(true).open(&tmp_path).map_err(io_err)?;
     tmp.write_all(&bytes).map_err(io_err)?;
     tmp.sync_data().map_err(io_err)?;
-    drop(tmp);
     fs::rename(&tmp_path, &final_path).map_err(io_err)?;
     sync_dir(dir);
-    OpenOptions::new().append(true).open(&final_path).map_err(io_err)
+    Ok((tmp, bytes.len() as u64))
 }
 
 #[cfg(test)]
@@ -1113,6 +1181,75 @@ mod tests {
             }
             other => panic!("divergent duplicate must reject, got {other:?}"),
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_append_is_rolled_back_so_later_appends_recover_cleanly() {
+        let dir = tmpdir("failedwrite");
+        let (mut journal, _) = Journal::open(&dir).expect("fresh journal");
+        journal.append(&JournalRecord::Submit(submit(1))).expect("submit");
+        // A short write: part of a frame reaches the segment, then the
+        // append fails. The record was never acknowledged.
+        journal.fail_next_write(FRAME_LEN + 3);
+        assert!(journal.append(&JournalRecord::Submit(submit(2))).is_err());
+        journal.append(&JournalRecord::Submit(submit(3))).expect("later append succeeds");
+        drop(journal);
+
+        let (_journal, recovery) =
+            Journal::open(&dir).expect("no torn bytes mid-segment: recovery succeeds");
+        assert_eq!(recovery.pending, vec![submit(1), submit(3)], "every acknowledged record");
+        assert!(!recovery.torn_tail, "the failed append left nothing behind");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_bytes_that_cannot_be_truncated_refuse_every_later_append() {
+        let dir = tmpdir("failedtruncate");
+        let (mut journal, _) = Journal::open(&dir).expect("fresh journal");
+        journal.append(&JournalRecord::Submit(submit(1))).expect("submit");
+        journal.fail_truncate = true;
+        journal.fail_next_write(FRAME_LEN + 3);
+        assert!(journal.append(&JournalRecord::Submit(submit(2))).is_err());
+        match journal.append(&JournalRecord::Submit(submit(3))) {
+            Err(JournalError::Io(msg)) => assert!(msg.contains("appends refused"), "got: {msg}"),
+            other => panic!("an append after untruncatable torn bytes must be refused: {other:?}"),
+        }
+        drop(journal);
+
+        // The torn bytes stayed the segment's tail, which recovery drops.
+        let (_journal, recovery) = Journal::open(&dir).expect("torn tail recovers");
+        assert_eq!(recovery.pending, vec![submit(1)]);
+        assert!(recovery.torn_tail);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_compaction_is_not_an_append_failure() {
+        let dir = tmpdir("failedcompact");
+        let (mut journal, _) = Journal::open(&dir).expect("fresh journal");
+        // A directory squatting on the compaction's tmp name makes the
+        // compaction fail after the triggering records are durable.
+        let blocker = dir.join(format!("journal-{:08}.seg.tmp", journal.segment_index() + 1));
+        fs::create_dir(&blocker).expect("blocker");
+        for id in 1..COMPACT_EVERY {
+            journal.append(&JournalRecord::Submit(submit(id))).expect("submit");
+            journal.append(&JournalRecord::Complete { id }).expect("complete");
+        }
+        let id = COMPACT_EVERY;
+        journal.append(&JournalRecord::Submit(submit(id))).expect("submit");
+        journal.append(&JournalRecord::Submit(submit(id + 1))).expect("submit");
+        let outcome = journal.append(&JournalRecord::Complete { id }).expect("durable append");
+        assert!(!outcome.compacted);
+        assert!(outcome.compact_error.is_some(), "the compaction failure is reported");
+
+        // Unblocked, the next append compacts, and the journal recovers.
+        fs::remove_dir(&blocker).expect("unblock");
+        let outcome = journal.append(&JournalRecord::Start { id: id + 1 }).expect("append");
+        assert!(outcome.compacted);
+        drop(journal);
+        let (_journal, recovery) = Journal::open(&dir).expect("clean recovery");
+        assert_eq!(recovery.pending, vec![submit(id + 1)]);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -52,13 +52,13 @@
 //! `shutdown` drains, stops the workers and the loop, and the handle's
 //! [`ServerHandle::wait`] returns the final metrics dump.
 
-use crate::conn::{ConnBuf, Ingest};
+use crate::conn::{ConnBuf, Deferred, Ingest};
 use crate::http::{HttpItem, HttpState};
-use crate::journal::{JournalRecord, SubmitRecord};
+use crate::journal::{JournalError, JournalRecord, SubmitRecord};
 use crate::json::Json;
 use crate::protocol::{err_response, ok_response, Request, SubmitSpec};
 use crate::state::{
-    Completion, Core, GroupCtl, JobRecord, JobStatus, ResponsePlan, ServerState, WaitKind, Waiter,
+    Completion, Core, GroupCtl, JobRecord, JobStatus, ServerState, WaitKind, Waiter,
 };
 use crate::sys::{
     set_nonblocking, wake_pipe, Epoll, EpollEvent, WakeReader, EPOLLERR, EPOLLHUP, EPOLLIN,
@@ -113,8 +113,6 @@ pub struct ServeConfig {
     /// a restart replays unfinished jobs in original admission order —
     /// see [`crate::journal`].
     pub journal_dir: Option<PathBuf>,
-    /// Server-side fault injection (`None`: no chaos — production mode).
-    pub chaos: Option<ChaosConfig>,
 }
 
 impl Default for ServeConfig {
@@ -129,7 +127,6 @@ impl Default for ServeConfig {
             max_conns: 16_384,
             snapshot_dir: None,
             journal_dir: None,
-            chaos: None,
         }
     }
 }
@@ -137,37 +134,6 @@ impl Default for ServeConfig {
 /// Store generations kept per group after each persist; older ones are
 /// pruned (the newest generation is never deleted, whatever this says).
 const SNAPSHOT_KEEP_GENERATIONS: usize = 4;
-
-/// Seeded server-side fault injection for chaos testing.
-///
-/// Every fault decision is a roll of one deterministic [`fastsim_prng`]
-/// stream (thread interleaving still varies which *request* gets which
-/// roll, but fault density is reproducible). Rates are per-mille (‰):
-/// `150` means 15 % of rolls fire. Faults only ever affect transport and
-/// worker attempts — never admitted state or the shared caches — so every
-/// invariant the serving runbook promises must survive any chaos rate.
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosConfig {
-    /// Seed of the fault-decision stream.
-    pub seed: u64,
-    /// Per-mille chance a response line is silently dropped (connection
-    /// closed without answering).
-    pub drop_per_mille: u32,
-    /// Per-mille chance a response line is truncated mid-line (partial
-    /// bytes, no trailing newline, then the connection closes).
-    pub truncate_per_mille: u32,
-    /// Per-mille chance a worker attempt panics mid-job (on top of any
-    /// per-job `chaos_panics` the client requested).
-    pub panic_per_mille: u32,
-}
-
-impl ChaosConfig {
-    /// A moderate default storm: 15 % drops, 10 % truncations, 10 %
-    /// worker panics.
-    pub fn moderate(seed: u64) -> ChaosConfig {
-        ChaosConfig { seed, drop_per_mille: 150, truncate_per_mille: 100, panic_per_mille: 100 }
-    }
-}
 
 /// What the server listens on.
 pub enum Listener {
@@ -243,14 +209,6 @@ impl ServerHandle {
     /// The bound HTTP gateway address, when listening on HTTP.
     pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
         self.http_addr
-    }
-
-    /// Stops fault injection (a no-op on a server without
-    /// [`ServeConfig::chaos`]). Quiescing is how a chaos harness switches
-    /// from "survive the storm" to "verify clean behavior": the chaos
-    /// counters and the final metrics dump keep the storm's evidence.
-    pub fn quiesce_chaos(&self) {
-        self.state.set_chaos_enabled(false);
     }
 
     /// Connections open right now (the event loop's gauge).
@@ -655,8 +613,8 @@ impl EventLoop {
     /// same [`EventLoop::process_line`] path as line-protocol requests
     /// (their close flag queues for the response framer); direct answers
     /// go out immediately — or, when the connection is blocked on an
-    /// earlier deferred op, park in the deferred-line queue as a NUL
-    /// marker so responses stay FIFO.
+    /// earlier deferred op, park in the deferred queue so responses stay
+    /// FIFO.
     fn process_http_item(&mut self, token: u64, item: HttpItem) {
         match item {
             HttpItem::Op { line, close } => {
@@ -670,7 +628,7 @@ impl EventLoop {
             HttpItem::Direct { status, body, close } => {
                 let Some(conn) = self.conns.get_mut(&token) else { return };
                 if conn.buf.blocked() {
-                    conn.buf.defer_line(crate::http::encode_direct_marker(status, &body, close));
+                    conn.buf.defer(Deferred::Direct { status, body, close });
                     return;
                 }
                 self.queue_framed(token, crate::http::frame_response(status, &body, close), close);
@@ -679,9 +637,7 @@ impl EventLoop {
     }
 
     /// Handles one complete request line (or parks it behind an
-    /// outstanding deferred response, keeping responses FIFO). On gateway
-    /// connections the line is either a translated op or a parked direct
-    /// answer (NUL marker) replayed from the deferred queue.
+    /// outstanding deferred response, keeping responses FIFO).
     fn process_line(&mut self, token: u64, line: String) {
         if line.trim().is_empty() {
             return;
@@ -689,13 +645,9 @@ impl EventLoop {
         {
             let Some(conn) = self.conns.get_mut(&token) else { return };
             if conn.buf.blocked() {
-                conn.buf.defer_line(line);
+                conn.buf.defer(Deferred::Line(line));
                 return;
             }
-        }
-        if let Some((status, body, close)) = crate::http::decode_direct_marker(&line) {
-            self.queue_framed(token, crate::http::frame_response(status, &body, close), close);
-            return;
         }
         match handle_request(&self.state, token, &line) {
             Outcome::Reply(response) => self.queue_response(token, &response, false),
@@ -727,24 +679,11 @@ impl EventLoop {
         self.queue_framed(token, framed, close);
     }
 
-    /// Queues framed response bytes, applying transport chaos (a closing
-    /// response — `shutdown` — is always delivered: the server is
-    /// stopping, so a retry could never reconnect to learn the outcome),
-    /// then flushes what the socket will take.
+    /// Queues framed response bytes, then flushes what the socket will
+    /// take.
     fn queue_framed(&mut self, token: u64, framed: Vec<u8>, close: bool) {
-        let plan = if close { ResponsePlan::Deliver } else { self.state.chaos_response_plan() };
         let Some(conn) = self.conns.get_mut(&token) else { return };
-        match plan {
-            ResponsePlan::Deliver => conn.buf.queue(&framed),
-            ResponsePlan::Drop => {
-                self.close_conn(token);
-                return;
-            }
-            ResponsePlan::Truncate => {
-                conn.buf.queue(&framed[..framed.len() / 2]);
-                conn.buf.close_after_flush();
-            }
-        }
+        conn.buf.queue(&framed);
         if close {
             conn.buf.close_after_flush();
         }
@@ -770,7 +709,11 @@ impl EventLoop {
                     _ => None,
                 };
                 match next {
-                    Some(line) => self.process_line(token, line),
+                    Some(Deferred::Line(line)) => self.process_line(token, line),
+                    Some(Deferred::Direct { status, body, close }) => {
+                        let framed = crate::http::frame_response(status, &body, close);
+                        self.queue_framed(token, framed, close);
+                    }
                     None => break,
                 }
             }
@@ -890,9 +833,6 @@ fn dump_metrics(state: &ServerState, core: &Core) -> Json {
             if state.cfg.journal_dir.is_some() {
                 pairs.push(("journal".to_string(), state.metrics.journal_json()));
             }
-            if let Some(chaos) = state.chaos_json() {
-                pairs.push(("chaos".to_string(), chaos));
-            }
             Json::Obj(pairs)
         }
         other => other,
@@ -955,15 +895,7 @@ fn handle_snapshot_import(state: &Arc<ServerState>, data: &str) -> Json {
     match core.groups.get_mut(&fingerprint) {
         Some(ctl) => ctl.snapshot = fresh.clone(),
         None => {
-            core.groups.insert(
-                fingerprint,
-                GroupCtl {
-                    snapshot: fresh.clone(),
-                    deltas_since_freeze: 0,
-                    hits_window: 0,
-                    lookups_window: 0,
-                },
-            );
+            core.groups.insert(fingerprint, GroupCtl::new(fresh.clone()));
         }
     }
     drop(core);
@@ -989,14 +921,17 @@ fn handle_snapshot_import(state: &Arc<ServerState>, data: &str) -> Json {
 /// Appends records to the journal and fsyncs (a no-op without one),
 /// updating the journal counters. Called with the scheduler lock held —
 /// the journal lock nests strictly inside it — because the append *is*
-/// the durability point the subsequent acknowledgment relies on. An
-/// append failure degrades durability, not service: it is logged and
-/// counted, and the server keeps running.
-fn journal_append(state: &ServerState, records: &[JournalRecord]) {
-    let Some(journal) = &state.journal else { return };
-    if records.is_empty() {
-        return;
-    }
+/// the durability point the subsequent acknowledgment relies on. A
+/// failure is logged and counted in `journal.rejected`; the caller
+/// decides what it costs. A failed submit append refuses the submission;
+/// a failed start/complete/abandon append degrades durability, not
+/// service.
+///
+/// # Errors
+///
+/// The journal's append error (already logged and counted).
+fn journal_append(state: &ServerState, records: &[JournalRecord]) -> Result<(), JournalError> {
+    let Some(journal) = &state.journal else { return Ok(()) };
     let mut journal = journal.lock().unwrap();
     match journal.append_all(records) {
         Ok(outcome) => {
@@ -1007,10 +942,15 @@ fn journal_append(state: &ServerState, records: &[JournalRecord]) {
             if outcome.compacted {
                 state.metrics.journal_compacted();
             }
+            if let Some(e) = outcome.compact_error {
+                eprintln!("journal: compaction failed ({e}); the records are durable, will retry");
+            }
+            Ok(())
         }
         Err(e) => {
             state.metrics.journal_rejected(1);
-            eprintln!("journal: append failed ({e}); continuing without durability for it");
+            eprintln!("journal: append failed ({e})");
+            Err(e)
         }
     }
 }
@@ -1135,10 +1075,8 @@ fn handle_submit(state: &Arc<ServerState>, token: u64, spec: &SubmitSpec) -> Out
         Ok(jobs) => jobs,
         Err(msg) => return Outcome::Reply(err_response(msg)),
     };
-    let timeout = spec
-        .timeout_ms
-        .map(Duration::from_millis)
-        .or(state.cfg.default_timeout);
+    let timeout_ms =
+        spec.timeout_ms.or(state.cfg.default_timeout.map(|t| t.as_millis() as u64));
 
     let mut core = state.core.lock().unwrap();
     if core.draining || core.stop {
@@ -1155,36 +1093,41 @@ fn handle_submit(state: &Arc<ServerState>, token: u64, spec: &SubmitSpec) -> Out
             state.cfg.queue_capacity
         )));
     }
-    let mut ids = Vec::with_capacity(jobs.len());
-    let mut journaled = Vec::with_capacity(jobs.len());
-    for expanded in jobs {
-        let name = expanded.job.name.clone();
-        let id = state
-            .admit(
-                &mut core,
-                expanded.job,
-                &spec.client,
-                spec.priority,
-                timeout,
-                spec.chaos_panics,
-            )
-            .expect("capacity checked above");
-        ids.push(id);
-        journaled.push(JournalRecord::Submit(SubmitRecord {
-            id,
-            name,
-            kernel: expanded.kernel,
-            insts: spec.insts,
-            client: spec.client.clone(),
-            band: spec.priority as u32,
-            hierarchy: expanded.hierarchy,
-            timeout_ms: timeout.map(|t| t.as_millis() as u64),
-            chaos_panics: spec.chaos_panics,
-        }));
+    // Journal before admitting: the fsync is the durability point, and
+    // a submission the journal refused is answered `ok: false` with
+    // nothing queued. The ids are reserved first and never reused, even
+    // when the append fails.
+    let first_id = core.next_id;
+    core.next_id += jobs.len() as u64;
+    let (records, jobs): (Vec<SubmitRecord>, Vec<BatchJob>) = jobs
+        .into_iter()
+        .zip(first_id..)
+        .map(|(expanded, id)| {
+            let record = SubmitRecord {
+                id,
+                name: expanded.job.name.clone(),
+                kernel: expanded.kernel,
+                insts: spec.insts,
+                client: spec.client.clone(),
+                band: spec.priority as u32,
+                hierarchy: expanded.hierarchy,
+                timeout_ms,
+                chaos_panics: spec.chaos_panics,
+            };
+            (record, expanded.job)
+        })
+        .unzip();
+    let journaled: Vec<JournalRecord> =
+        records.iter().cloned().map(JournalRecord::Submit).collect();
+    if let Err(e) = journal_append(state, &journaled) {
+        return Outcome::Reply(err_response(format!(
+            "journal append failed ({e}); submission not accepted"
+        )));
     }
-    // Durability point: the submits are journaled and fsynced *before*
-    // the acknowledgment below — an acked job survives a SIGKILL.
-    journal_append(state, &journaled);
+    let ids: Vec<u64> = records.iter().map(|r| r.id).collect();
+    for (record, job) in records.iter().zip(jobs) {
+        core.admit(record, job);
+    }
     state
         .metrics
         .submitted(ids.len() as u64, (core.queue.len() + core.queue.parked_len()) as u64);
@@ -1298,14 +1241,13 @@ fn worker_loop(state: &Arc<ServerState>) {
                 let record = core.jobs.get_mut(&entry.id).expect("queued jobs have records");
                 record.status = JobStatus::Running;
                 record.attempts += 1;
-                let chaos =
-                    record.attempts <= record.chaos_panics || state.chaos_roll_panic();
+                let chaos = record.attempts <= record.chaos_panics;
                 let job = record.job.take().expect("queued jobs carry their BatchJob");
                 let deadline = record.timeout.map(|t| Instant::now() + t);
                 let fingerprint = record.fingerprint;
                 let snapshot = core.groups[&fingerprint].snapshot.clone();
                 core.in_flight += 1;
-                journal_append(state, &[JournalRecord::Start { id: entry.id }]);
+                let _ = journal_append(state, &[JournalRecord::Start { id: entry.id }]);
                 break (entry.id, job, snapshot, deadline, chaos);
             }
             // Nothing runnable: sleep until the earliest parked job is
@@ -1324,8 +1266,9 @@ fn worker_loop(state: &Arc<ServerState>) {
         };
         drop(core);
 
-        // Run outside the lock. Panics (including injected chaos) are
-        // caught; the shared caches only ever see *successful* outcomes.
+        // Run outside the lock. Panics (including a job's requested
+        // `chaos_panics`) are caught; the shared caches only ever see
+        // *successful* outcomes.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             assert!(!chaos, "chaos injection: attempt panicked on request");
             run_single(&job, &snapshot, deadline)
@@ -1351,7 +1294,7 @@ fn worker_loop(state: &Arc<ServerState>) {
                 state.metrics.completed(latency);
                 // Settled before the result is observable: a kill after
                 // this line can never rerun the job.
-                journal_append(state, &[JournalRecord::Complete { id }]);
+                let _ = journal_append(state, &[JournalRecord::Complete { id }]);
 
                 // Re-freeze cadence: after `refreeze_every` merges, freeze
                 // the accumulated master so later jobs start warmer, and
@@ -1385,7 +1328,7 @@ fn worker_loop(state: &Arc<ServerState>) {
                 record.status = JobStatus::Failed;
                 let reason = failure.to_string();
                 record.error = Some(reason.clone());
-                journal_append(state, &[JournalRecord::Abandon { id, reason }]);
+                let _ = journal_append(state, &[JournalRecord::Abandon { id, reason }]);
             }
             Err(payload) => {
                 state.metrics.panicked();
@@ -1399,7 +1342,7 @@ fn worker_loop(state: &Arc<ServerState>) {
                     );
                     record.error = Some(reason.clone());
                     state.metrics.quarantined();
-                    journal_append(state, &[JournalRecord::Abandon { id, reason }]);
+                    let _ = journal_append(state, &[JournalRecord::Abandon { id, reason }]);
                 } else {
                     // Park for exponential backoff, then retry.
                     record.status = JobStatus::Queued;
@@ -1439,5 +1382,51 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn a_submit_the_journal_refused_is_not_acknowledged_queued_or_recovered() {
+        let dir = std::env::temp_dir()
+            .join(format!("fastsim-serve-journal-refusal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let socket = dir.with_extension("sock");
+        let cfg = || ServeConfig {
+            workers: 1,
+            journal_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let handle = Server::start(cfg(), vec![Listener::unix(&socket).expect("bind")]);
+        handle.state.journal.as_ref().expect("journal open").lock().unwrap().fail_next_write(5);
+
+        let mut client = Client::connect_unix(&socket).expect("connect");
+        let submit = Json::parse(
+            r#"{"op": "submit", "kernels": ["compress"], "insts": 20000, "wait": false}"#,
+        )
+        .unwrap();
+        let resp = client.request(&submit).expect("response");
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false), "{resp}");
+        let metrics = client.metrics().expect("metrics");
+        for key in ["submitted", "queue_depth", "in_flight"] {
+            assert_eq!(metrics.get(key).and_then(Json::as_u64), Some(0), "{key}: {metrics}");
+        }
+        let journal = metrics.get("journal").expect("journal block");
+        assert_eq!(journal.get("rejected").and_then(Json::as_u64), Some(1));
+        drop(client);
+        handle.kill();
+
+        let reborn = Server::start(cfg(), vec![Listener::unix(&socket).expect("rebind")]);
+        assert_eq!(reborn.journal_stats(), (0, 0), "nothing to recover, nothing rejected");
+        let mut client = Client::connect_unix(&socket).expect("connect");
+        let resp = client.expect_ok(&submit).expect("the journal accepts the next submit");
+        assert_eq!(resp.get("jobs").and_then(Json::as_arr).map(|j| j.len()), Some(1));
+        client.shutdown().expect("shutdown");
+        reborn.wait();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

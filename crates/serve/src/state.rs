@@ -12,7 +12,6 @@ use crate::sys::Waker;
 use fastsim_core::{
     BatchDriver, BatchJob, HierarchyConfig, JobReport, SnapshotStore, WarmCacheSnapshot,
 };
-use fastsim_prng::Rng;
 use fastsim_workloads::Manifest;
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
@@ -71,7 +70,8 @@ pub struct JobRecord {
     pub fingerprint: u64,
     /// Attempts started so far.
     pub attempts: u32,
-    /// Fault injection: attempts `< chaos_panics` panic in the worker.
+    /// Fault injection: the first `chaos_panics` attempts panic in the
+    /// worker — the server's only fault source, fixed at submission.
     pub chaos_panics: u32,
     /// Per-job timeout (None: run to completion).
     pub timeout: Option<Duration>,
@@ -83,6 +83,27 @@ pub struct JobRecord {
     pub result: Option<JobReport>,
     /// The failure/panic message, once `Failed` or `Quarantined`.
     pub error: Option<String>,
+}
+
+impl JobRecord {
+    /// A fresh `Queued` record for one submit record.
+    pub fn queued(rec: &SubmitRecord, job: Option<BatchJob>, fingerprint: u64) -> JobRecord {
+        JobRecord {
+            id: rec.id,
+            name: rec.name.clone(),
+            client: rec.client.clone(),
+            band: rec.band as usize,
+            job,
+            fingerprint,
+            attempts: 0,
+            chaos_panics: rec.chaos_panics,
+            timeout: rec.timeout_ms.map(Duration::from_millis),
+            submitted: Instant::now(),
+            status: JobStatus::Queued,
+            result: None,
+            error: None,
+        }
+    }
 }
 
 /// Per-group snapshot control: the snapshot handed to every job of the
@@ -100,6 +121,12 @@ pub struct GroupCtl {
 }
 
 impl GroupCtl {
+    /// Control for a group whose jobs thaw from `snapshot`, with an empty
+    /// merge window.
+    pub fn new(snapshot: WarmCacheSnapshot) -> GroupCtl {
+        GroupCtl { snapshot, deltas_since_freeze: 0, hits_window: 0, lookups_window: 0 }
+    }
+
     /// The window's memoization hit rate (0 when no lookups).
     pub fn window_hit_rate(&self) -> f64 {
         if self.lookups_window == 0 {
@@ -175,33 +202,24 @@ impl Core {
     pub fn drained(&self) -> bool {
         self.queue.is_empty() && self.in_flight == 0
     }
-}
 
-/// The seeded fault-injection state (leaf lock: taken only for a roll or
-/// a counter read, never while waiting on anything else).
-pub struct ChaosState {
-    /// The deterministic fault-decision stream.
-    pub rng: Rng,
-    /// Rolls fire only while enabled; `quiesce` flips this off so
-    /// post-chaos verification runs clean.
-    pub enabled: bool,
-    /// Responses dropped so far.
-    pub drops: u64,
-    /// Responses truncated so far.
-    pub truncations: u64,
-    /// Worker panics injected so far.
-    pub panics: u64,
-}
-
-/// What the connection handler should do with a response line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResponsePlan {
-    /// Write the full line (the only plan without chaos).
-    Deliver,
-    /// Close the connection without writing anything.
-    Drop,
-    /// Write a prefix of the line (no trailing newline), then close.
-    Truncate,
+    /// Admits one job under the id, client, band, timeout and panic
+    /// budget of its submit record: ensures its group (creating the
+    /// [`GroupCtl`] with the group's current snapshot on first sight) and
+    /// queues it. Live submits and journal recovery both admit through
+    /// here, so a recovered job is the job that was journaled. The caller
+    /// has checked capacity.
+    pub fn admit(&mut self, rec: &SubmitRecord, job: BatchJob) {
+        let fingerprint = self.driver.ensure_group(&job);
+        if !self.groups.contains_key(&fingerprint) {
+            let snapshot =
+                self.driver.current_snapshot(fingerprint).expect("group ensured above");
+            self.groups.insert(fingerprint, GroupCtl::new(snapshot));
+        }
+        let entry = QueueEntry { id: rec.id, client: rec.client.clone(), band: rec.band as usize };
+        self.queue.push(entry).expect("capacity checked by the caller");
+        self.jobs.insert(rec.id, JobRecord::queued(rec, Some(job), fingerprint));
+    }
 }
 
 /// The server's shared state: the core behind its lock, the condvars, the
@@ -218,8 +236,6 @@ pub struct ServerState {
     pub metrics: Metrics,
     /// Server configuration.
     pub cfg: ServeConfig,
-    /// Fault injection, when the config asked for chaos.
-    pub chaos: Option<Mutex<ChaosState>>,
     /// The durable snapshot store, when [`ServeConfig::snapshot_dir`] is
     /// set. Saves take their own filesystem time on the worker path —
     /// always *after* the scheduler lock is released.
@@ -251,15 +267,6 @@ impl ServerState {
     /// `Failed` with a typed reason — never silently replayed as a
     /// different job.
     pub fn new(cfg: ServeConfig, waker: Waker) -> ServerState {
-        let chaos = cfg.chaos.map(|c| {
-            Mutex::new(ChaosState {
-                rng: Rng::new(c.seed),
-                enabled: true,
-                drops: 0,
-                truncations: 0,
-                panics: 0,
-            })
-        });
         let metrics = Metrics::new();
         let mut driver = BatchDriver::new(1);
         let mut groups = HashMap::new();
@@ -284,15 +291,7 @@ impl ServerState {
                     for loaded in report.loaded {
                         let fingerprint = loaded.snapshot.fingerprint();
                         if driver.adopt_snapshot(&loaded.snapshot) {
-                            groups.insert(
-                                fingerprint,
-                                GroupCtl {
-                                    snapshot: loaded.snapshot,
-                                    deltas_since_freeze: 0,
-                                    hits_window: 0,
-                                    lookups_window: 0,
-                                },
-                            );
+                            groups.insert(fingerprint, GroupCtl::new(loaded.snapshot));
                             metrics.snapshot_loaded(loaded.bytes as u64, loaded.generation);
                         }
                     }
@@ -300,9 +299,18 @@ impl ServerState {
                 Err(e) => eprintln!("snapshot store: boot scan failed: {e}"),
             }
         }
-        let mut queue = JobQueue::new(cfg.queue_capacity);
-        let mut jobs = HashMap::new();
-        let mut next_id = 1u64;
+        let mut core = Core {
+            queue: JobQueue::new(cfg.queue_capacity),
+            jobs: HashMap::new(),
+            driver,
+            groups,
+            next_id: 1,
+            in_flight: 0,
+            draining: false,
+            stop: false,
+            waiters: Vec::new(),
+            completions: Vec::new(),
+        };
         let journal = cfg.journal_dir.as_ref().and_then(|dir| match Journal::open(dir) {
             Ok((mut journal, recovery)) => {
                 if recovery.torn_tail {
@@ -312,71 +320,35 @@ impl ServerState {
                         dir.display()
                     );
                 }
-                next_id = recovery.next_id;
+                core.next_id = recovery.next_id;
                 let mut abandons = Vec::new();
-                let mut recovered = 0u64;
                 for rec in &recovery.pending {
-                    let id = rec.id;
                     // Full-queue recovery can only happen when the server
                     // was restarted with a smaller --queue-cap than the
                     // journal was written under.
-                    let built = if queue.is_full() {
-                        Err(format!(
-                            "recovered queue exceeds capacity {}",
-                            cfg.queue_capacity
-                        ))
+                    let built = if core.queue.is_full() {
+                        Err(format!("recovered queue exceeds capacity {}", cfg.queue_capacity))
                     } else {
                         rebuild_job(rec)
                     };
-                    let mut record = JobRecord {
-                        id,
-                        name: rec.name.clone(),
-                        client: rec.client.clone(),
-                        band: rec.band as usize,
-                        job: None,
-                        fingerprint: 0,
-                        attempts: 0,
-                        chaos_panics: rec.chaos_panics,
-                        timeout: rec.timeout_ms.map(Duration::from_millis),
-                        submitted: Instant::now(),
-                        status: JobStatus::Queued,
-                        result: None,
-                        error: None,
-                    };
                     match built {
-                        Ok(job) => {
-                            let fingerprint = driver.ensure_group(&job);
-                            groups.entry(fingerprint).or_insert_with(|| GroupCtl {
-                                snapshot: driver
-                                    .current_snapshot(fingerprint)
-                                    .expect("group ensured above"),
-                                deltas_since_freeze: 0,
-                                hits_window: 0,
-                                lookups_window: 0,
-                            });
-                            record.job = Some(job);
-                            record.fingerprint = fingerprint;
-                            queue
-                                .push(QueueEntry {
-                                    id,
-                                    client: rec.client.clone(),
-                                    band: rec.band as usize,
-                                })
-                                .expect("is_full checked above");
-                            recovered += 1;
-                        }
+                        Ok(job) => core.admit(rec, job),
                         Err(e) => {
+                            let id = rec.id;
                             eprintln!("journal {}: job {id} rejected at recovery: {e}", dir.display());
+                            let mut record = JobRecord::queued(rec, None, 0);
                             record.status = JobStatus::Failed;
                             record.error = Some(e.clone());
+                            core.jobs.insert(id, record);
                             abandons.push(JournalRecord::Abandon { id, reason: e });
                         }
                     }
-                    jobs.insert(id, record);
                 }
+                let recovered = (recovery.pending.len() - abandons.len()) as u64;
                 metrics.journal_recovered(recovered);
                 if recovered > 0 {
-                    metrics.submitted(recovered, (queue.len() + queue.parked_len()) as u64);
+                    let depth = core.queue.len() + core.queue.parked_len();
+                    metrics.submitted(recovered, depth as u64);
                 }
                 if !abandons.is_empty() {
                     metrics.journal_rejected(abandons.len() as u64);
@@ -405,141 +377,14 @@ impl ServerState {
             }
         });
         ServerState {
-            core: Mutex::new(Core {
-                queue,
-                jobs,
-                driver,
-                groups,
-                next_id,
-                in_flight: 0,
-                draining: false,
-                stop: false,
-                waiters: Vec::new(),
-                completions: Vec::new(),
-            }),
+            core: Mutex::new(core),
             work: Condvar::new(),
             waker,
             metrics,
             cfg,
-            chaos,
             store,
             journal,
         }
-    }
-
-    /// Rolls the transport fault dice for one response line.
-    pub fn chaos_response_plan(&self) -> ResponsePlan {
-        let (Some(chaos), Some(cfg)) = (&self.chaos, &self.cfg.chaos) else {
-            return ResponsePlan::Deliver;
-        };
-        let mut c = chaos.lock().unwrap();
-        if !c.enabled {
-            return ResponsePlan::Deliver;
-        }
-        let roll = c.rng.range_u64(0..1000) as u32;
-        if roll < cfg.drop_per_mille {
-            c.drops += 1;
-            ResponsePlan::Drop
-        } else if roll < cfg.drop_per_mille + cfg.truncate_per_mille {
-            c.truncations += 1;
-            ResponsePlan::Truncate
-        } else {
-            ResponsePlan::Deliver
-        }
-    }
-
-    /// Rolls the worker-panic dice for one job attempt.
-    pub fn chaos_roll_panic(&self) -> bool {
-        let (Some(chaos), Some(cfg)) = (&self.chaos, &self.cfg.chaos) else {
-            return false;
-        };
-        let mut c = chaos.lock().unwrap();
-        if !c.enabled || c.rng.range_u64(0..1000) as u32 >= cfg.panic_per_mille {
-            return false;
-        }
-        c.panics += 1;
-        true
-    }
-
-    /// Turns fault injection on or off (counters and the rng stream keep
-    /// their state). No-op on a server without chaos.
-    pub fn set_chaos_enabled(&self, enabled: bool) {
-        if let Some(chaos) = &self.chaos {
-            chaos.lock().unwrap().enabled = enabled;
-        }
-    }
-
-    /// The chaos counters as a JSON object, when chaos is configured —
-    /// appended to metrics dumps so a storm can prove faults actually
-    /// fired.
-    pub fn chaos_json(&self) -> Option<Json> {
-        self.chaos.as_ref().map(|chaos| {
-            let c = chaos.lock().unwrap();
-            Json::obj([
-                ("enabled", Json::Bool(c.enabled)),
-                ("drops", Json::from(c.drops)),
-                ("truncations", Json::from(c.truncations)),
-                ("panics_injected", Json::from(c.panics)),
-            ])
-        })
-    }
-
-    /// Admits one expanded job under the scheduler lock: assigns an id,
-    /// ensures its group (creating the [`GroupCtl`] with the group's
-    /// current snapshot on first sight), and queues it. Fails with the
-    /// admission-control error when the queue is full.
-    ///
-    /// # Errors
-    ///
-    /// A backpressure message for the client.
-    pub fn admit(
-        &self,
-        core: &mut Core,
-        job: BatchJob,
-        client: &str,
-        band: usize,
-        timeout: Option<Duration>,
-        chaos_panics: u32,
-    ) -> Result<u64, String> {
-        if core.queue.is_full() {
-            return Err(format!(
-                "queue full ({} jobs admitted, capacity {})",
-                core.queue.len() + core.queue.parked_len(),
-                self.cfg.queue_capacity
-            ));
-        }
-        let fingerprint = core.driver.ensure_group(&job);
-        if !core.groups.contains_key(&fingerprint) {
-            let snapshot =
-                core.driver.current_snapshot(fingerprint).expect("group ensured above");
-            core.groups.insert(
-                fingerprint,
-                GroupCtl { snapshot, deltas_since_freeze: 0, hits_window: 0, lookups_window: 0 },
-            );
-        }
-        let id = core.next_id;
-        core.next_id += 1;
-        let entry = QueueEntry { id, client: client.to_string(), band };
-        core.queue.push(entry).expect("is_full checked above");
-        core.jobs.insert(
-            id,
-            JobRecord {
-                id,
-                name: job.name.clone(),
-                client: client.to_string(),
-                band,
-                job: Some(job),
-                fingerprint,
-                attempts: 0,
-                chaos_panics,
-                timeout,
-                submitted: Instant::now(),
-                status: JobStatus::Queued,
-                result: None,
-                error: None,
-            },
-        );
-        Ok(id)
     }
 }
 

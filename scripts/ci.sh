@@ -307,11 +307,13 @@ done
 echo "==> fuzz smoke passed ($FUZZ_OUT)"
 
 echo "==> chaos smoke: seeded fault storm against a live server"
-# Server-side fault injection (response drops, truncations, worker
-# panics) under a seeded client storm (malformed/partial frames,
-# deadline storms). Gates: every admitted job settles, the metrics dump
-# stays schema-valid, faults actually fired, and post-chaos results are
-# bit-identical to an offline batch run.
+# A seeded storm against a plain server: transport faults from the
+# storm's client (malformed/partial/slow-loris/half-open frames,
+# mid-response disconnects, deadline storms) and worker panics from
+# per-job chaos_panics budgets. Gates: every admitted job settles, the
+# metrics dump stays schema-valid, "ok" (which requires the final
+# dump's panics and retries to equal the admitted panic budget), and
+# post-chaos results are bit-identical to an offline batch run.
 CHAOS_OUT="target/chaos_smoke.json"
 cargo run --release -q -p fastsim-fuzz --bin chaos_smoke -- \
     --seed 0xc4a050de --socket target/ci_chaos.sock --out "$CHAOS_OUT" \

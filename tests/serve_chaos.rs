@@ -1,18 +1,20 @@
-//! Serve-path chaos integration tests: seeded server-side fault injection
-//! (response drops, mid-line truncations, worker panics) under a seeded
-//! client storm (malformed frames, partial frames, slow-loris dribbles,
-//! half-open sockets, mid-response disconnects, deadline storms), then
-//! the settled-state invariants and the no-cache-poisoning gate — and the
-//! durable-store rebirth scenario: a server killed after a chaos storm
+//! Serve-path chaos integration tests: a seeded storm against a plain
+//! server — transport faults from the storm's client (malformed frames,
+//! partial frames, slow-loris dribbles, half-open sockets, mid-response
+//! disconnects, deadline storms) and worker panics from per-job
+//! `chaos_panics` budgets — then the settled-state invariants, exact
+//! budget-derived fault counts, and the no-cache-poisoning gate; and the
+//! durable-store rebirth scenario: a server shut down after a chaos storm
 //! restarts on the same `snapshot_dir` with an uncorrupted store.
 
 #![cfg(unix)]
 
 use fastsim_fuzz::chaos::{
-    drain_and_verify, post_chaos_identity, run_storm, RetryClient, StormConfig,
+    drain_and_verify, post_chaos_identity, run_storm, verify_budgeted_faults, RetryClient,
+    StormConfig,
 };
 use fastsim_serve::json::Json;
-use fastsim_serve::server::{ChaosConfig, Listener, ServeConfig, Server};
+use fastsim_serve::server::{Listener, ServeConfig, Server};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
@@ -25,13 +27,12 @@ fn chaos_storm_settles_and_never_poisons_the_caches() {
         workers: 2,
         refreeze_every: 2,
         backoff_base: Duration::from_millis(5),
-        chaos: Some(ChaosConfig::moderate(seed)),
         ..ServeConfig::default()
     };
     let handle = Server::start(cfg, vec![Listener::unix(&socket).expect("bind test socket")]);
 
-    // Storm the server while its fault injection is live. Smaller than
-    // the CI smoke — this runs in the debug test suite.
+    // Storm the server. Smaller than the CI smoke — this runs in the
+    // debug test suite.
     let storm = run_storm(
         &socket,
         seed ^ 0xdead,
@@ -53,18 +54,14 @@ fn chaos_storm_settles_and_never_poisons_the_caches() {
     assert_eq!(storm.half_open_ok, 2, "half-open clients still receive their responses");
     assert_eq!(storm.mid_response_disconnects, 2, "mid-response disconnects delivered");
 
-    // Invariants with chaos still live: everything settles, the metrics
-    // dump stays schema-valid, totals balance.
+    // Everything settles, the metrics dump stays schema-valid, totals
+    // balance, and the server's faults are exactly the admitted budgets:
+    // each budgeted job panics once, then succeeds on its retry.
     let metrics = drain_and_verify(&socket).expect("settled-state invariants hold");
-    let chaos = metrics.get("chaos").expect("chaos counters in the dump");
-    let fired: u64 = ["drops", "truncations", "panics_injected"]
-        .iter()
-        .filter_map(|k| chaos.get(k).and_then(Json::as_u64))
-        .sum();
-    assert!(fired > 0, "no faults fired — the chaos config was not live: {chaos}");
+    assert!(storm.panic_budget > 0, "the storm budgeted no panics");
+    verify_budgeted_faults(&metrics, storm.panic_budget).expect("faults == admitted budgets");
 
-    // Quiesce, then demand bit-identity with an offline batch run.
-    handle.quiesce_chaos();
+    // Bit-identity with an offline batch run.
     post_chaos_identity(&socket, 5_000).expect("post-chaos results bit-identical to offline");
 
     // Shut down; the final dump still carries the storm's evidence.
@@ -76,12 +73,7 @@ fn chaos_storm_settles_and_never_poisons_the_caches() {
         final_dump.get("schema").and_then(Json::as_str),
         Some(fastsim_serve::metrics::SCHEMA)
     );
-    let final_chaos = final_dump.get("chaos").expect("chaos counters survive shutdown");
-    assert_eq!(
-        final_chaos.get("enabled").and_then(Json::as_bool),
-        Some(false),
-        "chaos stays quiesced"
-    );
+    verify_budgeted_faults(&final_dump, storm.panic_budget).expect("final dump keeps the counts");
     let submitted = final_dump.get("submitted").and_then(Json::as_u64).unwrap();
     let settled = ["completed", "failed", "quarantined"]
         .iter()
@@ -97,13 +89,12 @@ fn chaos_killed_server_reborn_from_snapshot_store_serves_clean() {
     let _ = std::fs::remove_dir_all(&dir);
     let socket = Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve_chaos_restart.sock");
 
-    // First life: storm the server while fault injection is live and the
-    // durable store is attached. Every surviving re-freeze persists.
+    // First life: storm the server with the durable store attached.
+    // Every re-freeze persists.
     let cfg = ServeConfig {
         workers: 2,
         refreeze_every: 2,
         backoff_base: Duration::from_millis(5),
-        chaos: Some(ChaosConfig::moderate(seed)),
         snapshot_dir: Some(dir.to_path_buf()),
         ..ServeConfig::default()
     };
@@ -123,7 +114,8 @@ fn chaos_killed_server_reborn_from_snapshot_store_serves_clean() {
         },
     );
     assert!(storm.admitted > 0, "the storm admitted nothing");
-    drain_and_verify(&socket).expect("settled-state invariants hold under chaos");
+    let metrics = drain_and_verify(&socket).expect("settled-state invariants hold under chaos");
+    verify_budgeted_faults(&metrics, storm.panic_budget).expect("faults == admitted budgets");
     let mut client = RetryClient::new(&socket);
     let stopped = client.request(&Json::obj([("op", Json::from("shutdown"))]));
     assert_eq!(stopped.get("ok").and_then(Json::as_bool), Some(true));
@@ -134,7 +126,7 @@ fn chaos_killed_server_reborn_from_snapshot_store_serves_clean() {
         "the chaos-era server persisted at least one re-freeze: {snap}"
     );
 
-    // Rebirth on the same store, chaos off. Atomic tmp+rename writes mean
+    // Rebirth on the same store. Atomic tmp+rename writes mean
     // a storm (worker panics included) can never leave a half-written
     // snapshot behind: everything on disk decodes, nothing is rejected,
     // and the reborn server serves bit-identically to an offline run.
